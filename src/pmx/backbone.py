@@ -33,6 +33,8 @@ from .errors import ContractError
 from .rng import SplitMix64
 from .tensor import Tensor, bias_add, one_hot, parameter
 
+STRIDE = 4  # pixels per feature-map cell along each axis
+
 
 @dataclass(frozen=True)
 class BackboneConfig:
@@ -115,8 +117,8 @@ class Encoder:
     def __call__(self, images: Tensor) -> Tensor:
         """(B, 3, H, W) -> (B, D, H/4, W/4); H, W must be multiples of 4."""
         _, _, h, w = images.shape
-        if h % 4 or w % 4:
-            raise ContractError(f"input {h}x{w} is not a multiple of 4")
+        if h % STRIDE or w % STRIDE:
+            raise ContractError(f"input {h}x{w} is not a multiple of {STRIDE}")
         s = self.stem2(self.stem1(images).relu()).relu()
         x = self.stage2(self.stage1(s))
         x = x.bilinear_upsample2x()
@@ -127,6 +129,12 @@ class Encoder:
             x = x.narrow(3, 0, s.shape[3])
         x = (x + self.skip(s)).relu()
         return self.out(self.refine(x))
+
+    def rows(self, images: Tensor) -> Tuple[Tensor, Tuple[int, int]]:
+        """Per-pixel embeddings as rows: (B, N, D) plus the feature grid size."""
+        fmap = self(images)
+        b, d, h4, w4 = fmap.shape
+        return fmap.reshape(b, d, h4 * w4).transpose_last2(), (h4, w4)
 
     def params(self) -> Dict[str, Tensor]:
         out = {}
@@ -226,15 +234,8 @@ class Backbone:
         self.queries = normal_param(gen, (cfg.k, cfg.d), 0.02)
         self.blocks = [DecoderBlock(gen, cfg.d, cfg.variant) for _ in range(cfg.n_dec)]
 
-    def encode(self, images: Tensor) -> Tuple[Tensor, Tuple[int, int]]:
-        """Per-pixel embeddings as rows: (B, N, D) plus the feature grid size."""
-        fmap = self.encoder(images)
-        b, d, h4, w4 = fmap.shape
-        f = fmap.reshape(b, d, h4 * w4).transpose_last2()
-        return f, (h4, w4)
-
     def __call__(self, images: Tensor) -> Tuple[Tensor, Tensor, Tuple[int, int]]:
-        f, grid = self.encode(images)
+        f, grid = self.encoder.rows(images)
         q = self.queries.expand_leading(f.shape[0])
         for block in self.blocks:
             q = block(q, f)

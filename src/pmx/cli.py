@@ -13,6 +13,7 @@ tensor to 64-bit and enables per-op finiteness assertions.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict
 from typing import List, Optional
@@ -20,6 +21,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import netpbm
+from .backbone import STRIDE
 from .errors import ContractError, FormatError, TrainingDiverged
 from .formats import read_dataset, write_dataset
 from .losses import LossConfig
@@ -111,6 +113,12 @@ def cmd_generate(args) -> int:
         cfg.validate()
     except ContractError as exc:
         raise UsageError(str(exc)) from exc
+    # the coarsest scale of the depth gradient loss pools by 2^(scales - 1)
+    pool = 2 ** (LossConfig().grad_scales - 1)
+    multiple = math.lcm(STRIDE, pool)
+    if args.size % multiple:
+        raise UsageError(f"--size {args.size} is not a multiple of {multiple} "
+                         f"(encoder stride {STRIDE}, depth gradient pooling {pool})")
     samples = generate_split(args.seed, args.count, cfg)
     manifest = {
         "seed": args.seed,
@@ -135,13 +143,8 @@ def _train_config(args, classes: int) -> TrainConfig:
     )
 
 
-def _load_split(path: str):
-    header, samples = read_dataset(path)
-    return header, samples
-
-
 def cmd_train(args) -> int:
-    header, samples = _load_split(args.data)
+    header, samples = read_dataset(args.data)
     cfg = _train_config(args, header.classes)
     val = read_dataset(args.val)[1] if args.val else None
     result = train(samples, cfg, classes=header.classes, d_min=header.d_min,
@@ -156,7 +159,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    header, samples = _load_split(args.data)
+    header, samples = read_dataset(args.data)
     if args.oracle:
         report = evaluate(None, samples, args.task, oracle=True, classes=header.classes)
     else:
@@ -171,7 +174,7 @@ def cmd_eval(args) -> int:
 
 
 def _load_indexed(args):
-    header, samples = _load_split(args.data)
+    header, samples = read_dataset(args.data)
     if not 0 <= args.index < header.count:
         raise UsageError(f"--index {args.index} outside dataset of {header.count}")
     model, _ = load_model(args.ckpt)
@@ -217,7 +220,7 @@ def cmd_probmaps(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    header, samples = _load_split(args.data)
+    header, samples = read_dataset(args.data)
     cfg = _train_config(args, header.classes)
     try:
         k_list = [int(x) for x in args.k_list.split(",") if x]
@@ -234,7 +237,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    header, samples = _load_split(args.data)
+    header, samples = read_dataset(args.data)
     cfg = _train_config(args, header.classes)
     val = read_dataset(args.val)[1] if args.val else samples
     pair = compare_baseline(samples, cfg, val,

@@ -15,6 +15,7 @@ the normal-frame convention.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -165,19 +166,23 @@ def read_checkpoint(path: str) -> Dict[str, np.ndarray]:
         raise FormatError(f"{path}: unsupported version {version}")
     out: Dict[str, np.ndarray] = {}
     off = 12
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", body, off)
-        off += 2
-        name = body[off:off + nlen].decode("utf-8")
-        off += nlen
-        (rank,) = struct.unpack_from("<B", body, off)
-        off += 1
-        dims = struct.unpack_from(f"<{rank}I", body, off)
-        off += 4 * rank
-        n = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(body, "<f4", n, off).reshape(dims).copy()
-        off += 4 * n
-        out[name] = arr.astype(np.float32)
+    try:
+        for _ in range(count):
+            (nlen,) = struct.unpack_from("<H", body, off)
+            off += 2
+            name = body[off:off + nlen].decode("utf-8")
+            off += nlen
+            (rank,) = struct.unpack_from("<B", body, off)
+            off += 1
+            dims = struct.unpack_from(f"<{rank}I", body, off)
+            off += 4 * rank
+            n = math.prod(dims)
+            arr = np.frombuffer(body, "<f4", n, off).reshape(dims).copy()
+            off += 4 * n
+            out[name] = arr.astype(np.float32)
+    except (struct.error, ValueError, OverflowError) as exc:  # ValueError: bad UTF-8 too
+        raise FormatError(f"{path}: malformed entry {len(out)} of {count} "
+                          f"at offset {off}: {exc}") from exc
     if off != len(body):
-        raise FormatError(f"{path}: {len(body) - off} trailing bytes after entries")
+        raise FormatError(f"{path}: entries end at offset {off}, body at {len(body)}")
     return out

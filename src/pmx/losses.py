@@ -38,11 +38,6 @@ class LossConfig:
             raise ContractError("gradient loss needs at least one scale")
 
 
-def _mask_count(mask: np.ndarray) -> float:
-    n = float(np.asarray(mask, dtype=np.float64).sum())
-    return n
-
-
 def _safe_gt(gt: np.ndarray, mask: np.ndarray) -> np.ndarray:
     # keep logs/divisions finite on masked-out pixels
     return np.where(mask > 0, gt, 1.0)
@@ -50,7 +45,7 @@ def _safe_gt(gt: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def silog(d_pred: Tensor, d_gt: np.ndarray, mask: np.ndarray, lam: float = 0.5) -> Tensor:
     """mean(g^2) - lam (mean g)^2 with g the masked log residual."""
-    n = _mask_count(mask)
+    n = float(np.asarray(mask, dtype=np.float64).sum())
     if n == 0:
         raise ContractError("silog: empty mask")
     g = (d_pred.log() - Tensor(np.log(_safe_gt(d_gt, mask)))) * Tensor(mask)
@@ -61,7 +56,7 @@ def silog(d_pred: Tensor, d_gt: np.ndarray, mask: np.ndarray, lam: float = 0.5) 
 
 def rel_sq(d_pred: Tensor, d_gt: np.ndarray, mask: np.ndarray) -> Tensor:
     """mean of ((d - d*)/d*)^2 over the mask."""
-    n = _mask_count(mask)
+    n = float(np.asarray(mask, dtype=np.float64).sum())
     if n == 0:
         raise ContractError("rel_sq: empty mask")
     r = (d_pred - Tensor(d_gt)) * Tensor(mask) / Tensor(_safe_gt(d_gt, mask))
@@ -70,7 +65,7 @@ def rel_sq(d_pred: Tensor, d_gt: np.ndarray, mask: np.ndarray) -> Tensor:
 
 def charbonnier(d_pred: Tensor, d_gt: np.ndarray, mask: np.ndarray, eps: float = 1e-3) -> Tensor:
     """mean of sqrt(diff^2 + eps^2) - eps over the mask; 0 on an empty mask."""
-    n = _mask_count(mask)
+    n = float(np.asarray(mask, dtype=np.float64).sum())
     if n == 0:
         return Tensor(0.0)
     diff = (d_pred - Tensor(d_gt)) * Tensor(mask)
@@ -126,7 +121,7 @@ def normal_l2(n_pred: Tensor, n_gt: np.ndarray, mask: np.ndarray) -> Tensor:
 
     n_pred (B, N, 3); mask (B, N).  Equals 2 - 2 cos(theta) on unit inputs.
     """
-    n = _mask_count(mask)
+    n = float(np.asarray(mask, dtype=np.float64).sum())
     if n == 0:
         raise ContractError("normal_l2: empty mask")
     m3 = np.repeat(np.asarray(mask, dtype=np.float64)[..., None], 3, axis=-1)

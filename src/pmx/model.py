@@ -82,10 +82,13 @@ class Model:
     def _features(self, images: Tensor):
         if self.backbone is not None:
             return self.backbone(images)
-        fmap = self.encoder(images)
-        b, d, h4, w4 = fmap.shape
-        f = fmap.reshape(b, d, h4 * w4).transpose_last2()
-        return f, None, (h4, w4)
+        f, grid = self.encoder.rows(images)
+        return f, None, grid
+
+    @staticmethod
+    def _full_probability_map(f: Tensor, q: Tensor, grid: Tuple[int, int]) -> Tensor:
+        """P at full resolution, (B, HW, K) with rows summing to 1."""
+        return heads.upsample_probability_map(heads.probability_map(f, q), grid)
 
     def train_outputs(self, images: Tensor) -> Dict[str, object]:
         """Graph tensors the loss consumes, at full resolution.
@@ -103,7 +106,7 @@ class Model:
         if cfg.task == "seg":
             logits4 = f.matmul(q.transpose_last2())
             return {"logits": heads.upsample_rows(logits4, grid), "grid": grid}
-        p_full = heads.upsample_probability_map(heads.probability_map(f, q), grid)
+        p_full = self._full_probability_map(f, q, grid)
         if cfg.task == "depth":
             b, _ = self.bins_head(q, cfg.d_min, cfg.d_max)
             return {"depth": heads.depth_compose(p_full, b), "bins": b, "grid": grid}
@@ -118,10 +121,8 @@ class Model:
         bsz, _, h, w = images.shape
         with no_grad():
             if self.cfg.task == "seg" and self.cfg.head == "cluster":
-                f, q, grid = self._features(images)
-                p_full = heads.upsample_probability_map(heads.probability_map(f, q), grid)
-                labels = heads.seg_predict(p_full, self.cfg.classes)
-                return labels.reshape(bsz, h, w)
+                p_full = self._full_probability_map(*self._features(images))
+                return heads.seg_predict(p_full, self.cfg.classes).reshape(bsz, h, w)
             out = self.train_outputs(images)
         if self.cfg.task == "seg":
             return out["logits"].data.argmax(axis=-1).reshape(bsz, h, w)
@@ -135,8 +136,7 @@ class Model:
             raise ContractError("baseline head has no probability map")
         bsz, _, h, w = images.shape
         with no_grad():
-            f, q, grid = self._features(images)
-            p_full = heads.upsample_probability_map(heads.probability_map(f, q), grid)
+            p_full = self._full_probability_map(*self._features(images))
         return p_full.data.swapaxes(-1, -2).reshape(bsz, self.cfg.k, h, w)
 
     def bin_centers(self, images: Tensor) -> np.ndarray:
@@ -192,14 +192,21 @@ def _meta_tensors(cfg: ModelConfig) -> Dict[str, np.ndarray]:
     }
 
 
+def _choice(tensors: Dict[str, np.ndarray], key: str, choices: Tuple[str, ...]) -> str:
+    value = float(tensors[key])
+    if not (value.is_integer() and 0 <= value < len(choices)):
+        raise ContractError(f"checkpoint {key} = {value:g} is not an index into {choices}")
+    return choices[int(value)]
+
+
 def config_from_meta(tensors: Dict[str, np.ndarray]) -> ModelConfig:
     try:
         widths = tuple(int(x) for x in tensors["meta/widths"])
         d_min, d_max = (float(x) for x in tensors["meta/drange"])
         return ModelConfig(
-            task=TASKS[int(tensors["meta/task"])],
-            head=HEAD_KINDS[int(tensors["meta/head"])],
-            variant=VARIANTS[int(tensors["meta/variant"])],
+            task=_choice(tensors, "meta/task", TASKS),
+            head=_choice(tensors, "meta/head", HEAD_KINDS),
+            variant=_choice(tensors, "meta/variant", VARIANTS),
             k=int(tensors["meta/k"]),
             d=int(tensors["meta/d"]),
             n_dec=int(tensors["meta/n_dec"]),

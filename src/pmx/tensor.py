@@ -1,9 +1,12 @@
 """Reverse-mode autodiff over numpy arrays.
 
 A ``Tensor`` wraps one contiguous float ndarray plus an optional gradient.
-Ops build a DAG by recording parent tensors and a backward closure; calling
-``backward()`` on a scalar loss runs the closures in reverse topological
-order, accumulating into ``.grad`` additively.
+Every op computes its output array, defines a backward closure over its
+inputs, and hands both to ``_result``.  ``_result`` keeps the parents and
+the closure only when graph recording is on and some parent requires grad;
+otherwise the output is a plain constant and the closure is dropped.
+Calling ``backward()`` on a scalar loss runs the closures in reverse
+topological order, accumulating into ``.grad`` additively.
 
 The op set is deliberately closed: elementwise arithmetic, matmul (2D, batched
 3D, and 3D @ 2D), 3x3 convolution at stride 1 or 2 with padding 1, softmax,
@@ -46,13 +49,17 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backfn")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=precision.dtype())
+        """Leaf node, cast to the active precision."""
+        self._set(np.asarray(data, dtype=precision.dtype()), bool(requires_grad), (), None)
+
+    def _set(self, arr: np.ndarray, requires_grad: bool, parents: Tuple["Tensor", ...],
+             backfn: Optional[Callable[[np.ndarray], None]]) -> None:
         # ascontiguousarray would promote 0-d to shape (1,); keep scalars 0-d
         self.data: np.ndarray = arr if arr.flags["C_CONTIGUOUS"] else arr.copy(order="C")
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = bool(requires_grad)
-        self._parents: Tuple[Tensor, ...] = ()
-        self._backfn: Optional[Callable[[np.ndarray], None]] = None
+        self.requires_grad = requires_grad
+        self._parents = parents
+        self._backfn = backfn
 
     # ---- plumbing ---------------------------------------------------------
 
@@ -63,21 +70,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.grad = None
-        out.requires_grad = False
-        out._parents = ()
-        out._backfn = None
-        return out
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -120,93 +112,48 @@ class Tensor:
     def __add__(self, other):
         if isinstance(other, Tensor):
             _same_shape(self, other, "add")
-            out = _result(self.data + other.data, (self, other))
-            if out._backfn is _PENDING:
-                def back(g, a=self, b=other):
-                    if a.requires_grad:
-                        a._accum(g)
-                    if b.requires_grad:
-                        b._accum(g)
-                out._backfn = back
-            return out
-        out = _result(self.data + other, (self,))
-        if out._backfn is _PENDING:
-            out._backfn = lambda g, a=self: a._accum(g)
-        return out
+            return _binary(self, other, self.data + other.data, lambda g: g, lambda g: g)
+        return _result(self.data + other, (self,), lambda g: self._accum(g))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Tensor):
             _same_shape(self, other, "sub")
-            out = _result(self.data - other.data, (self, other))
-            if out._backfn is _PENDING:
-                def back(g, a=self, b=other):
-                    if a.requires_grad:
-                        a._accum(g)
-                    if b.requires_grad:
-                        b._accum(-g)
-                out._backfn = back
-            return out
+            return _binary(self, other, self.data - other.data, lambda g: g, lambda g: -g)
         return self.__add__(-other)
 
     def __rsub__(self, other):
         return self.__neg__().__add__(other)
 
     def __neg__(self):
-        out = _result(-self.data, (self,))
-        if out._backfn is _PENDING:
-            out._backfn = lambda g, a=self: a._accum(-g)
-        return out
+        return _result(-self.data, (self,), lambda g: self._accum(-g))
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
             _same_shape(self, other, "mul")
-            out = _result(self.data * other.data, (self, other))
-            if out._backfn is _PENDING:
-                def back(g, a=self, b=other):
-                    if a.requires_grad:
-                        a._accum(g * b.data)
-                    if b.requires_grad:
-                        b._accum(g * a.data)
-                out._backfn = back
-            return out
-        out = _result(self.data * other, (self,))
-        if out._backfn is _PENDING:
-            out._backfn = lambda g, a=self, c=other: a._accum(g * c)
-        return out
+            return _binary(self, other, self.data * other.data,
+                           lambda g: g * other.data, lambda g: g * self.data)
+        return _result(self.data * other, (self,), lambda g: self._accum(g * other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Tensor):
             _same_shape(self, other, "div")
-            out = _result(self.data / other.data, (self, other))
-            if out._backfn is _PENDING:
-                def back(g, a=self, b=other):
-                    if a.requires_grad:
-                        a._accum(g / b.data)
-                    if b.requires_grad:
-                        b._accum(-g * a.data / (b.data * b.data))
-                out._backfn = back
-            return out
+            return _binary(self, other, self.data / other.data, lambda g: g / other.data,
+                           lambda g: -g * self.data / (other.data * other.data))
         return self.__mul__(1.0 / other)
 
     def __rtruediv__(self, other):
-        out = _result(other / self.data, (self,))
-        if out._backfn is _PENDING:
-            def back(g, a=self, c=other):
-                a._accum(-g * c / (a.data * a.data))
-            out._backfn = back
-        return out
+        return _result(other / self.data, (self,),
+                       lambda g: self._accum(-g * other / (self.data * self.data)))
 
     # ---- unary elementwise --------------------------------------------------
 
     def relu(self) -> "Tensor":
-        out = _result(np.maximum(self.data, 0), (self,))
-        if out._backfn is _PENDING:
-            out._backfn = lambda g, a=self: a._accum(g * (a.data > 0))
-        return out
+        return _result(np.maximum(self.data, 0), (self,),
+                       lambda g: self._accum(g * (self.data > 0)))
 
     def gelu(self) -> "Tensor":
         """Tanh-approximation gelu: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))."""
@@ -214,14 +161,12 @@ class Tensor:
         x = self.data
         inner = c * (x + 0.044715 * x**3)
         t = np.tanh(inner)
-        out = _result(0.5 * x * (1.0 + t), (self,))
-        if out._backfn is _PENDING:
-            def back(g, a=self, t=t, c=c):
-                xx = a.data
-                dinner = c * (1.0 + 3.0 * 0.044715 * xx * xx)
-                a._accum(g * (0.5 * (1.0 + t) + 0.5 * xx * (1.0 - t * t) * dinner))
-            out._backfn = back
-        return out
+
+        def back(g):
+            xx = self.data
+            dinner = c * (1.0 + 3.0 * 0.044715 * xx * xx)
+            self._accum(g * (0.5 * (1.0 + t) + 0.5 * xx * (1.0 - t * t) * dinner))
+        return _result(0.5 * x * (1.0 + t), (self,), back)
 
     def sigmoid(self) -> "Tensor":
         # exp on the negative half only, to stay finite for large |x|
@@ -231,51 +176,33 @@ class Tensor:
         s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         e = np.exp(x[~pos])
         s[~pos] = e / (1.0 + e)
-        out = _result(s, (self,))
-        if out._backfn is _PENDING:
-            out._backfn = lambda g, a=self, s=s: a._accum(g * s * (1.0 - s))
-        return out
+        return _result(s, (self,), lambda g: self._accum(g * s * (1.0 - s)))
 
     def exp(self) -> "Tensor":
         y = np.exp(self.data)
-        out = _result(y, (self,))
-        if out._backfn is _PENDING:
-            out._backfn = lambda g, a=self, y=y: a._accum(g * y)
-        return out
+        return _result(y, (self,), lambda g: self._accum(g * y))
 
     def log(self) -> "Tensor":
-        out = _result(np.log(self.data), (self,))
-        if out._backfn is _PENDING:
-            out._backfn = lambda g, a=self: a._accum(g / a.data)
-        return out
+        return _result(np.log(self.data), (self,), lambda g: self._accum(g / self.data))
 
     def sqrt(self) -> "Tensor":
         y = np.sqrt(self.data)
-        out = _result(y, (self,))
-        if out._backfn is _PENDING:
-            out._backfn = lambda g, a=self, y=y: a._accum(g * 0.5 / y)
-        return out
+        return _result(y, (self,), lambda g: self._accum(g * 0.5 / y))
 
     def abs(self) -> "Tensor":
-        out = _result(np.abs(self.data), (self,))
-        if out._backfn is _PENDING:
-            out._backfn = lambda g, a=self: a._accum(g * np.sign(a.data))
-        return out
+        return _result(np.abs(self.data), (self,), lambda g: self._accum(g * np.sign(self.data)))
 
     def clamp(self, lo: Optional[float] = None, hi: Optional[float] = None) -> "Tensor":
         """Clip to [lo, hi]; gradient passes where lo <= x <= hi (subgradient 1
         at the boundary)."""
-        out = _result(np.clip(self.data, lo, hi), (self,))
-        if out._backfn is _PENDING:
-            def back(g, a=self, lo=lo, hi=hi):
-                mask = np.ones_like(a.data, dtype=bool)
-                if lo is not None:
-                    mask &= a.data >= lo
-                if hi is not None:
-                    mask &= a.data <= hi
-                a._accum(g * mask)
-            out._backfn = back
-        return out
+        def back(g):
+            mask = np.ones_like(self.data, dtype=bool)
+            if lo is not None:
+                mask &= self.data >= lo
+            if hi is not None:
+                mask &= self.data <= hi
+            self._accum(g * mask)
+        return _result(np.clip(self.data, lo, hi), (self,), back)
 
     def clamp_min(self, lo: float) -> "Tensor":
         return self.clamp(lo=lo)
@@ -283,46 +210,20 @@ class Tensor:
     # ---- linear algebra -----------------------------------------------------
 
     def matmul(self, other: "Tensor") -> "Tensor":
+        """2D @ 2D, batched 3D @ 3D, or 3D @ 2D (a weight shared by the batch)."""
         a, b = self.data, other.data
-        if a.ndim == 2 and b.ndim == 2:
-            if a.shape[1] != b.shape[0]:
-                raise ShapeError(f"matmul {a.shape} @ {b.shape}")
-            out = _result(a @ b, (self, other))
-            if out._backfn is _PENDING:
-                def back(g, s=self, o=other):
-                    if s.requires_grad:
-                        s._accum(g @ o.data.T)
-                    if o.requires_grad:
-                        o._accum(s.data.T @ g)
-                out._backfn = back
-            return out
-        if a.ndim == 3 and b.ndim == 3:
-            if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-                raise ShapeError(f"matmul {a.shape} @ {b.shape}")
-            out = _result(a @ b, (self, other))
-            if out._backfn is _PENDING:
-                def back(g, s=self, o=other):
-                    if s.requires_grad:
-                        s._accum(g @ o.data.swapaxes(-1, -2))
-                    if o.requires_grad:
-                        o._accum(s.data.swapaxes(-1, -2) @ g)
-                out._backfn = back
-            return out
-        if a.ndim == 3 and b.ndim == 2:
-            if a.shape[2] != b.shape[0]:
-                raise ShapeError(f"matmul {a.shape} @ {b.shape}")
-            out = _result(a @ b, (self, other))
-            if out._backfn is _PENDING:
-                def back(g, s=self, o=other):
-                    if s.requires_grad:
-                        s._accum(g @ o.data.T)
-                    if o.requires_grad:
-                        k = s.data.shape[-1]
-                        n = o.data.shape[-1]
-                        o._accum(s.data.reshape(-1, k).T @ g.reshape(-1, n))
-                out._backfn = back
-            return out
-        raise ShapeError(f"matmul unsupported for ndim {a.ndim} @ {b.ndim}")
+        if (a.ndim, b.ndim) not in ((2, 2), (3, 3), (3, 2)):
+            raise ShapeError(f"matmul unsupported for ndim {a.ndim} @ {b.ndim}")
+        if a.shape[-1] != b.shape[-2] or (b.ndim == 3 and a.shape[0] != b.shape[0]):
+            raise ShapeError(f"matmul {a.shape} @ {b.shape}")
+
+        def grad_other(g):
+            s = self.data
+            if s.ndim == other.ndim:
+                return s.swapaxes(-1, -2) @ g
+            return s.reshape(-1, s.shape[-1]).T @ g.reshape(-1, other.shape[-1])
+        return _binary(self, other, a @ b,
+                       lambda g: g @ other.data.swapaxes(-1, -2), grad_other)
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return self.matmul(other)
@@ -330,10 +231,8 @@ class Tensor:
     def transpose_last2(self) -> "Tensor":
         if self.ndim < 2:
             raise ShapeError("transpose_last2 needs ndim >= 2")
-        out = _result(np.ascontiguousarray(self.data.swapaxes(-1, -2)), (self,))
-        if out._backfn is _PENDING:
-            out._backfn = lambda g, a=self: a._accum(np.ascontiguousarray(g.swapaxes(-1, -2)))
-        return out
+        return _result(np.ascontiguousarray(self.data.swapaxes(-1, -2)), (self,),
+                       lambda g: self._accum(np.ascontiguousarray(g.swapaxes(-1, -2))))
 
     # ---- normalization ------------------------------------------------------
 
@@ -342,13 +241,11 @@ class Tensor:
         shifted = x - x.max(axis=axis, keepdims=True)
         e = np.exp(shifted)
         y = e / e.sum(axis=axis, keepdims=True)
-        out = _result(y, (self,))
-        if out._backfn is _PENDING:
-            def back(g, a=self, y=y, axis=axis):
-                dot = (g * y).sum(axis=axis, keepdims=True)
-                a._accum(y * (g - dot))
-            out._backfn = back
-        return out
+
+        def back(g):
+            dot = (g * y).sum(axis=axis, keepdims=True)
+            self._accum(y * (g - dot))
+        return _result(y, (self,), back)
 
     def layernorm(self, gamma: "Tensor", beta: "Tensor", eps: float = 1e-5) -> "Tensor":
         """Normalize over the last axis, then scale and shift.
@@ -365,20 +262,18 @@ class Tensor:
         var = (xc * xc).mean(axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt(var + eps)
         xhat = xc * inv
-        out = _result(xhat * gamma.data + beta.data, (self, gamma, beta))
-        if out._backfn is _PENDING:
-            def back(g, a=self, gm=gamma, bt=beta, xhat=xhat, inv=inv, d=d):
-                if gm.requires_grad:
-                    gm._accum((g * xhat).reshape(-1, d).sum(axis=0))
-                if bt.requires_grad:
-                    bt._accum(g.reshape(-1, d).sum(axis=0))
-                if a.requires_grad:
-                    dxhat = g * gm.data
-                    m1 = dxhat.mean(axis=-1, keepdims=True)
-                    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-                    a._accum(inv * (dxhat - m1 - xhat * m2))
-            out._backfn = back
-        return out
+
+        def back(g):
+            if gamma.requires_grad:
+                gamma._accum((g * xhat).reshape(-1, d).sum(axis=0))
+            if beta.requires_grad:
+                beta._accum(g.reshape(-1, d).sum(axis=0))
+            if self.requires_grad:
+                dxhat = g * gamma.data
+                m1 = dxhat.mean(axis=-1, keepdims=True)
+                m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+                self._accum(inv * (dxhat - m1 - xhat * m2))
+        return _result(xhat * gamma.data + beta.data, (self, gamma, beta), back)
 
     # ---- shape ops ------------------------------------------------------------
 
@@ -386,70 +281,46 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         old = self.shape
-        out = _result(self.data.reshape(shape), (self,))
-        if out._backfn is _PENDING:
-            out._backfn = lambda g, a=self, old=old: a._accum(g.reshape(old))
-        return out
+        return _result(self.data.reshape(shape), (self,), lambda g: self._accum(g.reshape(old)))
 
     def expand_axis(self, axis: int, n: int) -> "Tensor":
         """Repeat a size-1 axis n times.  Backward sums over that axis."""
         if self.shape[axis] != 1:
             raise ShapeError(f"expand_axis needs size 1 at axis {axis}, got {self.shape}")
-        out = _result(np.repeat(self.data, n, axis=axis), (self,))
-        if out._backfn is _PENDING:
-            out._backfn = lambda g, a=self, axis=axis: a._accum(g.sum(axis=axis, keepdims=True))
-        return out
+        return _result(np.repeat(self.data, n, axis=axis), (self,),
+                       lambda g: self._accum(g.sum(axis=axis, keepdims=True)))
 
     def expand_leading(self, n: int) -> "Tensor":
         """Prepend a new leading axis of size n.  Backward sums over it."""
-        out = _result(np.ascontiguousarray(np.broadcast_to(self.data, (n,) + self.shape)), (self,))
-        if out._backfn is _PENDING:
-            out._backfn = lambda g, a=self: a._accum(g.sum(axis=0))
-        return out
+        return _result(np.ascontiguousarray(np.broadcast_to(self.data, (n,) + self.shape)),
+                       (self,), lambda g: self._accum(g.sum(axis=0)))
 
     def narrow(self, axis: int, start: int, length: int) -> "Tensor":
         """Contiguous slice along one axis.  Backward zero-pads."""
         idx = [slice(None)] * self.ndim
         idx[axis] = slice(start, start + length)
-        out = _result(np.ascontiguousarray(self.data[tuple(idx)]), (self,))
-        if out._backfn is _PENDING:
-            def back(g, a=self, idx=tuple(idx)):
-                full = np.zeros_like(a.data)
-                full[idx] = g
-                a._accum(full)
-            out._backfn = back
-        return out
+        idx = tuple(idx)
+
+        def back(g):
+            full = np.zeros_like(self.data)
+            full[idx] = g
+            self._accum(full)
+        return _result(np.ascontiguousarray(self.data[idx]), (self,), back)
 
     def cumsum_last(self) -> "Tensor":
-        out = _result(np.cumsum(self.data, axis=-1), (self,))
-        if out._backfn is _PENDING:
-            def back(g, a=self):
-                a._accum(np.flip(np.cumsum(np.flip(g, axis=-1), axis=-1), axis=-1))
-            out._backfn = back
-        return out
+        return _result(np.cumsum(self.data, axis=-1), (self,), lambda g: self._accum(
+            np.flip(np.cumsum(np.flip(g, axis=-1), axis=-1), axis=-1)))
 
     # ---- reductions -----------------------------------------------------------
 
     def sum(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        out = _result(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-        if out._backfn is _PENDING:
-            def back(g, a=self, axis=axis, keepdims=keepdims):
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                a._accum(np.broadcast_to(g, a.shape).copy())
-            out._backfn = back
-        return out
+        return _result(self.data.sum(axis=axis, keepdims=keepdims), (self,),
+                       lambda g: self._accum(_spread(g, axis, keepdims, self.shape)))
 
     def mean(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
         n = self.data.size if axis is None else self.shape[axis]
-        out = _result(self.data.mean(axis=axis, keepdims=keepdims), (self,))
-        if out._backfn is _PENDING:
-            def back(g, a=self, axis=axis, keepdims=keepdims, n=n):
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                a._accum(np.broadcast_to(g, a.shape).copy() / n)
-            out._backfn = back
-        return out
+        return _result(self.data.mean(axis=axis, keepdims=keepdims), (self,),
+                       lambda g: self._accum(_spread(g, axis, keepdims, self.shape) / n))
 
     # ---- indexing ---------------------------------------------------------------
 
@@ -461,14 +332,12 @@ class Tensor:
         if idx.shape != (self.shape[0],):
             raise ShapeError(f"gather_rows indices {idx.shape} for tensor {self.shape}")
         rows = np.arange(self.shape[0])
-        out = _result(self.data[rows, idx], (self,))
-        if out._backfn is _PENDING:
-            def back(g, a=self, rows=rows, idx=idx):
-                full = np.zeros_like(a.data)
-                np.add.at(full, (rows, idx), g)
-                a._accum(full)
-            out._backfn = back
-        return out
+
+        def back(g):
+            full = np.zeros_like(self.data)
+            np.add.at(full, (rows, idx), g)
+            self._accum(full)
+        return _result(self.data[rows, idx], (self,), back)
 
     # ---- spatial ops ---------------------------------------------------------
 
@@ -500,26 +369,23 @@ class Tensor:
         if bias is not None:
             y2 = y2 + bias.data
         y = np.ascontiguousarray(y2.reshape(bsz, ho, wo, cout).transpose(0, 3, 1, 2))
+
+        def back(g):
+            g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, cout)
+            if bias is not None and bias.requires_grad:
+                bias._accum(g2.sum(axis=0))
+            if weight.requires_grad:
+                weight._accum((g2.T @ cols).reshape(cout, cin, 3, 3))
+            if self.requires_grad:
+                dcols = (g2 @ wmat).reshape(bsz, ho, wo, cin, 3, 3).transpose(0, 3, 1, 2, 4, 5)
+                dxp = np.zeros((bsz, cin, h + 2, wd + 2), dtype=g.dtype)
+                for i in range(3):
+                    for j in range(3):
+                        dxp[:, :, i:i + stride * (ho - 1) + 1:stride,
+                            j:j + stride * (wo - 1) + 1:stride] += dcols[:, :, :, :, i, j]
+                self._accum(dxp[:, :, 1:1 + h, 1:1 + wd])
         parents = (self, weight) if bias is None else (self, weight, bias)
-        out = _result(y, parents)
-        if out._backfn is _PENDING:
-            def back(g, a=self, wt=weight, bt=bias, cols=cols, wmat=wmat,
-                     bsz=bsz, cin=cin, h=h, wd=wd, ho=ho, wo=wo, cout=cout, stride=stride):
-                g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, cout)
-                if bt is not None and bt.requires_grad:
-                    bt._accum(g2.sum(axis=0))
-                if wt.requires_grad:
-                    wt._accum((g2.T @ cols).reshape(cout, cin, 3, 3))
-                if a.requires_grad:
-                    dcols = (g2 @ wmat).reshape(bsz, ho, wo, cin, 3, 3).transpose(0, 3, 1, 2, 4, 5)
-                    dxp = np.zeros((bsz, cin, h + 2, wd + 2), dtype=g.dtype)
-                    for i in range(3):
-                        for j in range(3):
-                            dxp[:, :, i:i + stride * (ho - 1) + 1:stride,
-                                j:j + stride * (wo - 1) + 1:stride] += dcols[:, :, :, :, i, j]
-                    a._accum(dxp[:, :, 1:1 + h, 1:1 + wd])
-            out._backfn = back
-        return out
+        return _result(y, parents, back)
 
     def bilinear_upsample2x(self) -> "Tensor":
         """Double H and W of an NCHW tensor with align_corners=False bilinear
@@ -530,15 +396,12 @@ class Tensor:
         bsz, c, h, w = self.shape
         lh = _interp_matrix(h, self.data.dtype)
         lw = _interp_matrix(w, self.data.dtype)
-        x2 = self.data.reshape(bsz * c, h, w)
-        y2 = lh @ x2 @ lw.T
-        out = _result(y2.reshape(bsz, c, 2 * h, 2 * w), (self,))
-        if out._backfn is _PENDING:
-            def back(g, a=self, lh=lh, lw=lw, bsz=bsz, c=c, h=h, w=w):
-                g2 = g.reshape(bsz * c, 2 * h, 2 * w)
-                a._accum((lh.T @ g2 @ lw).reshape(bsz, c, h, w))
-            out._backfn = back
-        return out
+        y2 = lh @ self.data.reshape(bsz * c, h, w) @ lw.T
+
+        def back(g):
+            g2 = g.reshape(bsz * c, 2 * h, 2 * w)
+            self._accum((lh.T @ g2 @ lw).reshape(bsz, c, h, w))
+        return _result(y2.reshape(bsz, c, 2 * h, 2 * w), (self,), back)
 
     def avg_pool2d(self, factor: int) -> "Tensor":
         """Non-overlapping mean pooling; H and W must divide by factor."""
@@ -548,35 +411,46 @@ class Tensor:
         if h % factor or w % factor:
             raise ShapeError(f"avg_pool2d factor {factor} does not divide {h}x{w}")
         y = self.data.reshape(bsz, c, h // factor, factor, w // factor, factor).mean(axis=(3, 5))
-        out = _result(y, (self,))
-        if out._backfn is _PENDING:
-            def back(g, a=self, factor=factor):
-                up = np.repeat(np.repeat(g, factor, axis=2), factor, axis=3)
-                a._accum(up / (factor * factor))
-            out._backfn = back
-        return out
+
+        def back(g):
+            up = np.repeat(np.repeat(g, factor, axis=2), factor, axis=3)
+            self._accum(up / (factor * factor))
+        return _result(y, (self,), back)
 
 
-# sentinel marking "graph node created, closure not yet attached"
-def _PENDING(_g):  # pragma: no cover
-    raise RuntimeError("backward closure was never attached")
-
-
-def _result(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
+def _result(data: np.ndarray, parents: Sequence[Tensor],
+            backfn: Callable[[np.ndarray], None]) -> Tensor:
+    """Op output node.  Keeps numpy's dtype; records parents and backfn only
+    when some parent requires grad and recording is on."""
     if precision.debug() and not np.all(np.isfinite(data)):
         raise FloatingPointError("non-finite values in op output")
-    data = np.asarray(data)
     out = Tensor.__new__(Tensor)
-    out.data = data if data.flags["C_CONTIGUOUS"] else data.copy(order="C")
-    out.grad = None
-    out._parents = ()
-    out._backfn = None
-    out.requires_grad = False
     if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backfn = _PENDING
+        out._set(np.asarray(data), True, tuple(parents), backfn)
+    else:
+        out._set(np.asarray(data), False, (), None)
     return out
+
+
+def _binary(a: Tensor, b: Tensor, data: np.ndarray,
+            grad_a: Callable[[np.ndarray], np.ndarray],
+            grad_b: Callable[[np.ndarray], np.ndarray]) -> Tensor:
+    """Two-input op whose backward sends grad_a(g) to a and grad_b(g) to b,
+    each computed only if that input requires grad."""
+    def back(g):
+        if a.requires_grad:
+            a._accum(grad_a(g))
+        if b.requires_grad:
+            b._accum(grad_b(g))
+    return _result(data, (a, b), back)
+
+
+def _spread(g: np.ndarray, axis: Optional[int], keepdims: bool,
+            shape: Tuple[int, ...]) -> np.ndarray:
+    """Broadcast a reduction's gradient back over the reduced axis."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape).copy()
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -611,15 +485,7 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
     d = x.shape[-1]
     if b.shape != (d,):
         raise ShapeError(f"bias_add: bias {b.shape} for feature size {d}")
-    out = _result(x.data + b.data, (x, b))
-    if out._backfn is _PENDING:
-        def back(g, a=x, bb=b, d=d):
-            if a.requires_grad:
-                a._accum(g)
-            if bb.requires_grad:
-                bb._accum(g.reshape(-1, d).sum(axis=0))
-        out._backfn = back
-    return out
+    return _binary(x, b, x.data + b.data, lambda g: g, lambda g: g.reshape(-1, d).sum(axis=0))
 
 
 def one_hot(indices: np.ndarray, k: int) -> Tensor:

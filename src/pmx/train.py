@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import ContractError, TrainingDiverged
 from .losses import LossConfig, total_loss
-from .metrics import (PRIMARY_METRIC, MetricReport, confusion_matrix,
-                      depth_metrics, normal_metrics, report_for)
+from .metrics import (PRIMARY_METRIC, MetricReport, depth_metrics, miou,
+                      normal_metrics, report_for)
 from .model import Model, ModelConfig, load_model, save_model
 from .rng import SplitMix64, mix_seed_index
 from .scene import Sample
@@ -183,39 +183,25 @@ def evaluate(model: Optional[Model], samples: Sequence[Sample], task: str,
         if model.cfg.task != task:
             raise ContractError(f"checkpoint trained for {model.cfg.task!r}, not {task!r}")
         classes = model.cfg.classes
-    con = np.zeros((classes, classes), dtype=np.int64)
+    if len(samples) == 0:
+        raise ContractError("evaluation needs a nonempty dataset")
     preds: List[np.ndarray] = []
     gts: List[np.ndarray] = []
-    pixels = 0
     for start in range(0, len(samples), batch):
-        chunk = list(range(start, min(start + batch, len(samples))))
-        images, labels, depth, normal = _batch_arrays(samples, np.asarray(chunk))
-        if oracle:
-            pred = {"seg": labels, "depth": depth, "normal": normal}[task]
-        else:
-            pred = model.predict(Tensor(images))
-        if task == "seg":
-            con += confusion_matrix(pred, labels, classes)
-            pixels += labels.size
-        elif task == "depth":
-            preds.append(pred.reshape(-1))
-            gts.append(depth.reshape(-1))
-            pixels += depth.size
-        else:
-            preds.append(pred.reshape(-1, 3))
-            gts.append(normal.reshape(-1, 3))
-            pixels += normal.size // 3
+        idx = np.arange(start, min(start + batch, len(samples)))
+        images, labels, depth, normal = _batch_arrays(samples, idx)
+        gt = {"seg": labels, "depth": depth, "normal": normal}[task]
+        preds.append(gt if oracle else model.predict(Tensor(images)))
+        gts.append(gt)
+    pred, gt = np.concatenate(preds), np.concatenate(gts)
+    pixels = gt.size // 3 if task == "normal" else gt.size
     if task == "seg":
-        tp = np.diag(con).astype(np.float64)
-        union = con.sum(0) + con.sum(1) - np.diag(con)
-        iou = np.where(union > 0, tp / np.where(union > 0, union, 1), np.nan)
-        return report_for("seg", {"miou": float(np.nanmean(iou))}, pixels)
-    p = np.concatenate(preds)
-    g = np.concatenate(gts)
-    ones = np.ones(len(p))
-    if task == "depth":
-        return report_for("depth", depth_metrics(p, g, ones), pixels)
-    return report_for("normal", normal_metrics(p, g, ones), pixels)
+        scores = {"miou": miou(pred, gt, classes)[1]}
+    elif task == "depth":
+        scores = depth_metrics(pred, gt, np.ones(pixels))
+    else:
+        scores = normal_metrics(pred, gt, np.ones(pixels))
+    return report_for(task, scores, pixels)
 
 
 # ---- training --------------------------------------------------------------------------
@@ -270,7 +256,17 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, classes: int = 4,
     trace: List[Tuple[int, float, Dict[str, float]]] = []
     reports: List[Tuple[int, MetricReport]] = []
     best: Tuple[float, int] = None
-    best_name, best_hi = PRIMARY_METRIC[cfg.task]
+    best_hi = PRIMARY_METRIC[cfg.task][1]
+
+    def record(done: int, rep: MetricReport) -> None:
+        """Log a validation report; on a new best score, save ``.best``."""
+        nonlocal best
+        reports.append((done, rep))
+        score = rep.primary()
+        if best is None or (score > best[0] if best_hi else score < best[0]):
+            best = (score, done)
+            if out_path:
+                save_model(out_path + ".best", model, opt.state())
 
     for step in range(opt.t, cfg.steps):
         idx = order.batch_indices(step)
@@ -294,22 +290,11 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, classes: int = 4,
         trace.append((step, value, terms))
         if (cfg.eval_every and val_samples is not None
                 and (step + 1) % cfg.eval_every == 0 and step + 1 < cfg.steps):
-            rep = evaluate(model, val_samples, cfg.task)
-            reports.append((step + 1, rep))
-            score = rep.primary()
-            if best is None or (score > best[0] if best_hi else score < best[0]):
-                best = (score, step + 1)
-                if out_path:
-                    save_model(out_path + ".best", model, opt.state())
+            record(step + 1, evaluate(model, val_samples, cfg.task))
 
     final_report = evaluate(model, val_samples, cfg.task) if val_samples is not None else None
     if final_report is not None:
-        reports.append((cfg.steps, final_report))
-        score = final_report.primary()
-        if best is None or (score > best[0] if best_hi else score < best[0]):
-            best = (score, cfg.steps)
-            if out_path:
-                save_model(out_path + ".best", model, opt.state())
+        record(cfg.steps, final_report)
     if out_path:
         save_model(out_path, model, opt.state())
     if trace_path:

@@ -2,10 +2,13 @@
 
 import json
 import os
+import struct
 
+import numpy as np
 import pytest
 
 from pmx.cli import main
+from pmx.formats import fnv1a64, read_checkpoint, write_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +48,15 @@ def test_generate_rejects_bad_count(tmp_path):
 def test_generate_rejects_bad_size(tmp_path):
     code = main(["generate", "--size", "3", "--out", str(tmp_path / "x.pmxd")])
     assert code == 2
+
+
+@pytest.mark.parametrize("size", ["20", "18"])
+def test_generate_rejects_size_depth_training_cannot_use(tmp_path, capsys, size):
+    out = tmp_path / "x.pmxd"
+    assert main(["generate", "--size", size, "--count", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --size") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # ---- train / eval ------------------------------------------------------------------
@@ -97,6 +109,31 @@ def test_eval_task_mismatch_is_runtime_error(data, depth_ckpt):
 def test_eval_missing_checkpoint_is_runtime_error(data, tmp_path):
     assert main(["eval", "--task", "depth", "--data", data,
                  "--ckpt", str(tmp_path / "none.pmxc")]) == 1
+
+
+def _single_line_error(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_eval_malformed_checkpoint_is_one_line_runtime_error(data, tmp_path, capsys):
+    # checksum-valid file with one 2-float entry whose header claims 5 entries
+    body = (b"PMXC" + struct.pack("<II", 1, 5) + struct.pack("<H", 1) + b"x"
+            + struct.pack("<BI", 1, 2) + b"\0" * 8)
+    path = tmp_path / "forged.pmxc"
+    path.write_bytes(body + struct.pack("<Q", fnv1a64(body)))
+    assert main(["eval", "--task", "depth", "--data", data, "--ckpt", str(path)]) == 1
+    assert _single_line_error(capsys)
+
+
+def test_eval_out_of_range_meta_index_is_one_line_runtime_error(data, depth_ckpt, tmp_path,
+                                                                 capsys):
+    tensors = {n: a for n, a in read_checkpoint(depth_ckpt).items() if not n.startswith("opt/")}
+    tensors["meta/task"] = np.float32(7)
+    path = str(tmp_path / "bad_meta.pmxc")
+    write_checkpoint(path, tensors)
+    assert main(["eval", "--task", "depth", "--data", data, "--ckpt", path]) == 1
+    assert _single_line_error(capsys)
 
 
 # ---- predict / probability maps ------------------------------------------------------

@@ -147,6 +147,39 @@ def test_checkpoint_zero_dim_scalar_roundtrip(tmp_path):
     assert got["x"].shape == () and float(got["x"]) == 3.5
 
 
+def _forge(path, count, entries):
+    """A checkpoint whose header claims ``count`` entries, with a valid checksum."""
+    body = b"PMXC" + struct.pack("<II", 1, count) + entries
+    with open(path, "wb") as fh:
+        fh.write(body + struct.pack("<Q", fnv1a64(body)))
+
+
+def _entry(name, dims, payload):
+    return (struct.pack("<H", len(name)) + name + struct.pack("<B", len(dims))
+            + struct.pack(f"<{len(dims)}I", *dims) + payload)
+
+
+@pytest.mark.parametrize("count,entries", [
+    (5, _entry(b"x", (2,), b"\0" * 8)),
+    (1, struct.pack("<H", 1) + b"x" + struct.pack("<BI", 3, 2)),
+    (1, _entry(b"\xff\xfe", (), b"\0" * 4)),
+    (1, _entry(b"x", (1000,), b"\0" * 8)),
+    (1, _entry(b"x", (2**32 - 1, 2**32 - 1), b"")),
+], ids=["count_overrun", "truncated_dims", "bad_utf8_name", "payload_overrun",
+        "element_count_overflow"])
+def test_checkpoint_malformed_entries_raise_format_error(tmp_path, count, entries):
+    path = str(tmp_path / "forged.pmxc")
+    _forge(path, count, entries)
+    with pytest.raises(FormatError):
+        read_checkpoint(path)
+
+
+def test_checkpoint_forged_valid_entry_reads(tmp_path):
+    path = str(tmp_path / "forged.pmxc")
+    _forge(path, 1, _entry(b"x", (2,), struct.pack("<2f", 1.5, -2.0)))
+    assert read_checkpoint(path)["x"].tolist() == [1.5, -2.0]
+
+
 def test_fnv1a64_reference_values():
     # published FNV-1a 64-bit test vectors
     assert fnv1a64(b"") == 0xCBF29CE484222325

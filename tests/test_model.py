@@ -137,3 +137,13 @@ def test_config_from_meta_roundtrips_nondefaults():
     model = Model(cfg, seed=0)
     from pmx.model import _meta_tensors
     assert config_from_meta(_meta_tensors(cfg)) == cfg
+
+
+@pytest.mark.parametrize("key", ["meta/task", "meta/head", "meta/variant"])
+@pytest.mark.parametrize("value", [7.0, -1.0, 0.5, float("nan")])
+def test_config_from_meta_rejects_bad_indices(key, value):
+    from pmx.model import _meta_tensors
+    tensors = _meta_tensors(ModelConfig(task="depth"))
+    tensors[key] = np.float32(value)
+    with pytest.raises(ContractError, match=key):
+        config_from_meta(tensors)

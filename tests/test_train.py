@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from pmx.errors import ContractError, TrainingDiverged
+from pmx.metrics import miou
 from pmx.model import Model, ModelConfig
-from pmx.tensor import parameter
+from pmx.tensor import Tensor, parameter
 from pmx.train import (AdamW, TrainConfig, _Order, compare_baseline,
                        ablate_k, epoch_permutation, evaluate, train,
                        write_trace)
@@ -142,6 +143,22 @@ def test_evaluate_oracle_is_perfect(tiny_split):
     assert seg.metrics["miou"] == 1.0
     assert depth.metrics["delta1"] == 1.0 and depth.metrics["rms"] == 0.0
     assert normal.metrics["mean_deg"] < 1e-5
+
+
+def test_evaluate_seg_scores_through_metrics_miou(tiny_split):
+    samples, _ = tiny_split                  # 8 samples, batch 3: last chunk has 2
+    model = Model(ModelConfig(task="seg"), seed=0)
+    report = evaluate(model, samples, "seg", batch=3)
+    pred = np.concatenate([model.predict(Tensor(np.stack(
+        [s.image.transpose(2, 0, 1) for s in samples[i:i + 3]]))) for i in range(0, 8, 3)])
+    gt = np.stack([s.labels for s in samples])
+    assert report.metrics["miou"] == miou(pred, gt, 4)[1]
+    assert report.pixels == gt.size
+
+
+def test_evaluate_empty_split_raises():
+    with pytest.raises(ContractError):
+        evaluate(None, [], "seg", oracle=True)
 
 
 def test_evaluate_task_mismatch_raises(tiny_split):
