@@ -30,7 +30,7 @@ from .model import load_model
 from .scene import CLASS_NAMES, N_CLASSES, SceneConfig, generate_split
 from .tensor import Tensor
 from .train import (LR_PRESETS, TrainConfig, ablate_k, compare_baseline,
-                    evaluate, train)
+                    evaluate, model_config, train)
 
 
 class UsageError(Exception):
@@ -131,21 +131,28 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _train_config(args, classes: int) -> TrainConfig:
-    if args.task == "seg" and args.head == "cluster" and args.k != classes:
-        raise UsageError(
-            f"segmentation uses one query per class (K = C): --k {args.k} vs C={classes}")
-    return TrainConfig(
+def _train_config(args, header, **override) -> TrainConfig:
+    """The TrainConfig the train-family flags ask for, with any override
+    applied; a request train() would reject is a UsageError."""
+    fields = dict(
         task=args.task, steps=args.steps, batch=args.batch, lr=args.lr,
         seed=args.seed, k=args.k, variant=args.variant, head=args.head,
         eval_every=args.eval_every, clip_norm=0.0 if args.no_clip else 10.0,
         loss=LossConfig(),
     )
+    fields.update(override)
+    cfg = TrainConfig(**fields)
+    try:
+        cfg.validate()
+        model_config(cfg, header.classes, header.d_min, header.d_max).validate()
+    except ContractError as exc:
+        raise UsageError(str(exc)) from exc
+    return cfg
 
 
 def cmd_train(args) -> int:
     header, samples = read_dataset(args.data)
-    cfg = _train_config(args, header.classes)
+    cfg = _train_config(args, header)
     val = read_dataset(args.val)[1] if args.val else None
     result = train(samples, cfg, classes=header.classes, d_min=header.d_min,
                    d_max=header.d_max, val_samples=val, out_path=args.out,
@@ -221,13 +228,14 @@ def cmd_probmaps(args) -> int:
 
 def cmd_ablate(args) -> int:
     header, samples = read_dataset(args.data)
-    cfg = _train_config(args, header.classes)
     try:
         k_list = [int(x) for x in args.k_list.split(",") if x]
     except ValueError as exc:
         raise UsageError(f"bad --k-list: {exc}") from exc
     if not k_list:
         raise UsageError("--k-list is empty")
+    for k in k_list:
+        cfg = _train_config(args, header, k=k)
     val = read_dataset(args.val)[1] if args.val else samples
     rows = ablate_k(samples, cfg, k_list, val,
                     classes=header.classes, d_min=header.d_min, d_max=header.d_max)
@@ -238,7 +246,8 @@ def cmd_ablate(args) -> int:
 
 def cmd_compare(args) -> int:
     header, samples = read_dataset(args.data)
-    cfg = _train_config(args, header.classes)
+    # the cluster run's checks include the baseline's
+    cfg = _train_config(args, header, head="cluster")
     val = read_dataset(args.val)[1] if args.val else samples
     pair = compare_baseline(samples, cfg, val,
                             classes=header.classes, d_min=header.d_min, d_max=header.d_max)

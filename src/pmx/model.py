@@ -15,8 +15,9 @@ file alone reconstructs the model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,6 +53,12 @@ class ModelConfig:
         if self.task == "seg" and self.head == "cluster" and self.k != self.classes:
             raise ContractError(
                 f"segmentation requires K = C (one query per class): K={self.k}, C={self.classes}")
+        if self.d < 1 or self.classes < 1:
+            raise ContractError(f"feature size {self.d} and class count {self.classes} must be >= 1")
+        if len(self.widths) != 3:
+            raise ContractError(f"widths must be three channel counts: {self.widths}")
+        if not 0 < self.d_min < self.d_max < math.inf:
+            raise ContractError(f"depth range [{self.d_min}, {self.d_max}] invalid")
         BackboneConfig(self.widths, self.d, self.n_dec, self.k, self.variant).validate()
 
 
@@ -175,9 +182,6 @@ class Model:
 
 # ---- checkpoint glue ------------------------------------------------------------
 
-_META_FIELDS = ("task", "head", "variant", "k", "d", "n_dec", "classes")
-
-
 def _meta_tensors(cfg: ModelConfig) -> Dict[str, np.ndarray]:
     return {
         "meta/task": np.float32(TASKS.index(cfg.task)),
@@ -192,31 +196,49 @@ def _meta_tensors(cfg: ModelConfig) -> Dict[str, np.ndarray]:
     }
 
 
+def _values(tensors: Dict[str, np.ndarray], key: str, n: int) -> List[float]:
+    arr = np.asarray(tensors[key]).reshape(-1)
+    if arr.size != n:
+        raise ContractError(f"checkpoint {key} holds {arr.size} values, expected {n}")
+    return [float(v) for v in arr]
+
+
 def _choice(tensors: Dict[str, np.ndarray], key: str, choices: Tuple[str, ...]) -> str:
-    value = float(tensors[key])
+    value = _values(tensors, key, 1)[0]
     if not (value.is_integer() and 0 <= value < len(choices)):
         raise ContractError(f"checkpoint {key} = {value:g} is not an index into {choices}")
     return choices[int(value)]
 
 
+def _counts(tensors: Dict[str, np.ndarray], key: str, n: int = 1) -> List[int]:
+    values = _values(tensors, key, n)
+    if not all(v.is_integer() and v >= 1 for v in values):
+        shown = ", ".join(f"{v:g}" for v in values)
+        raise ContractError(f"checkpoint {key} = {shown}: counts must be positive integers")
+    return [int(v) for v in values]
+
+
 def config_from_meta(tensors: Dict[str, np.ndarray]) -> ModelConfig:
+    """The ModelConfig a checkpoint's ``meta/`` entries describe; any missing
+    or malformed entry raises ContractError."""
     try:
-        widths = tuple(int(x) for x in tensors["meta/widths"])
-        d_min, d_max = (float(x) for x in tensors["meta/drange"])
-        return ModelConfig(
+        d_min, d_max = _values(tensors, "meta/drange", 2)
+        cfg = ModelConfig(
             task=_choice(tensors, "meta/task", TASKS),
             head=_choice(tensors, "meta/head", HEAD_KINDS),
             variant=_choice(tensors, "meta/variant", VARIANTS),
-            k=int(tensors["meta/k"]),
-            d=int(tensors["meta/d"]),
-            n_dec=int(tensors["meta/n_dec"]),
-            classes=int(tensors["meta/classes"]),
-            widths=widths,
+            k=_counts(tensors, "meta/k")[0],
+            d=_counts(tensors, "meta/d")[0],
+            n_dec=_counts(tensors, "meta/n_dec")[0],
+            classes=_counts(tensors, "meta/classes")[0],
+            widths=tuple(_counts(tensors, "meta/widths", 3)),
             d_min=d_min,
             d_max=d_max,
         )
     except KeyError as exc:
         raise ContractError(f"checkpoint lacks model metadata: {exc}") from exc
+    cfg.validate()
+    return cfg
 
 
 def save_model(path: str, model: Model, opt_state: Dict[str, np.ndarray] = None) -> None:

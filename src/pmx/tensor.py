@@ -9,7 +9,8 @@ Calling ``backward()`` on a scalar loss runs the closures in reverse
 topological order, accumulating into ``.grad`` additively.
 
 The op set is deliberately closed: elementwise arithmetic, matmul (2D, batched
-3D, and 3D @ 2D), 3x3 convolution at stride 1 or 2 with padding 1, softmax,
+3D, and 3D @ 2D), NCHW 3x3 convolution at stride 1 or 2 with padding 1 (a
+(B, Cin*9, Ho*Wo) im2col and one batched gemm, no transposes), softmax,
 layer norm over the last axis, bilinear 2x upsampling, reductions, and a small
 set of shape/indexing ops.  There is no general broadcasting; the only
 sanctioned broadcast is the trailing bias add in ``bias_add`` and the explicit
@@ -344,9 +345,12 @@ class Tensor:
     def conv2d(self, weight: "Tensor", bias: Optional["Tensor"] = None, stride: int = 1) -> "Tensor":
         """3x3 convolution with padding 1 at stride 1 or 2, NCHW layout.
 
-        Forward lowers each input window to a row (im2col) and runs one gemm;
-        backward runs the transposed gemms and scatter-adds the nine window
-        taps back into a padded gradient image.
+        Forward copies the nine strided taps of the padded input into one
+        im2col buffer laid out (B, Cin*9, Ho*Wo) and runs one batched gemm
+        W (Cout, Cin*9) @ cols, whose (B, Cout, Ho*Wo) result is already
+        NCHW.  Backward views g as (B, Cout, Ho*Wo) and runs the transposed
+        gemms; col2im adds each tap's (B, Cin, Ho, Wo) plane back through the
+        same nine slices of a padded gradient image.
         """
         if stride not in (1, 2):
             raise ShapeError(f"conv2d stride must be 1 or 2, got {stride}")
@@ -359,33 +363,35 @@ class Tensor:
             raise ShapeError(f"conv2d channels: input {cin}, weight {w.shape[1]}")
         if bias is not None and bias.shape != (cout,):
             raise ShapeError(f"conv2d bias shape {bias.shape} for {cout} filters")
+        ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
+        # tap (i, j) of every output pixel, as one strided slice of the padded image
+        taps = [(i, j, (slice(None), slice(None), slice(i, i + stride * (ho - 1) + 1, stride),
+                        slice(j, j + stride * (wo - 1) + 1, stride)))
+                for i in range(3) for j in range(3)]
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
-        win = win[:, :, ::stride, ::stride]
-        ho, wo = win.shape[2], win.shape[3]
-        cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(bsz * ho * wo, cin * 9)
+        cols6 = np.empty((bsz, cin, 3, 3, ho, wo), dtype=xp.dtype)
+        for i, j, tap in taps:
+            cols6[:, :, i, j] = xp[tap]
+        cols = cols6.reshape(bsz, cin * 9, ho * wo)
         wmat = w.reshape(cout, cin * 9)
-        y2 = cols @ wmat.T
+        y = wmat @ cols
         if bias is not None:
-            y2 = y2 + bias.data
-        y = np.ascontiguousarray(y2.reshape(bsz, ho, wo, cout).transpose(0, 3, 1, 2))
+            y += bias.data[:, None]
 
         def back(g):
-            g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, cout)
+            g3 = g.reshape(bsz, cout, ho * wo)
             if bias is not None and bias.requires_grad:
-                bias._accum(g2.sum(axis=0))
+                bias._accum(g3.sum(axis=(0, 2)))
             if weight.requires_grad:
-                weight._accum((g2.T @ cols).reshape(cout, cin, 3, 3))
+                weight._accum((g3 @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(cout, cin, 3, 3))
             if self.requires_grad:
-                dcols = (g2 @ wmat).reshape(bsz, ho, wo, cin, 3, 3).transpose(0, 3, 1, 2, 4, 5)
-                dxp = np.zeros((bsz, cin, h + 2, wd + 2), dtype=g.dtype)
-                for i in range(3):
-                    for j in range(3):
-                        dxp[:, :, i:i + stride * (ho - 1) + 1:stride,
-                            j:j + stride * (wo - 1) + 1:stride] += dcols[:, :, :, :, i, j]
+                dcols = (wmat.T @ g3).reshape(bsz, cin, 3, 3, ho, wo)
+                dxp = np.zeros((bsz, cin, h + 2, wd + 2), dtype=dcols.dtype)
+                for i, j, tap in taps:
+                    dxp[tap] += dcols[:, :, i, j]
                 self._accum(dxp[:, :, 1:1 + h, 1:1 + wd])
         parents = (self, weight) if bias is None else (self, weight, bias)
-        return _result(y, parents, back)
+        return _result(y.reshape(bsz, cout, ho, wo), parents, back)
 
     def bilinear_upsample2x(self) -> "Tensor":
         """Double H and W of an NCHW tensor with align_corners=False bilinear

@@ -52,8 +52,11 @@ class TrainConfig:
     def validate(self) -> None:
         if self.steps < 1 or self.batch < 1:
             raise ContractError("steps and batch size must be positive")
-        if self.lr < 0 or self.weight_decay < 0:
-            raise ContractError("lr and weight decay must be nonnegative")
+        if not (0 <= self.lr < math.inf and 0 <= self.weight_decay < math.inf):
+            raise ContractError(f"lr {self.lr} and weight decay {self.weight_decay} "
+                                f"must be finite and nonnegative")
+        if self.eval_every < 0:
+            raise ContractError(f"eval_every {self.eval_every} must be >= 0 (0: only at the end)")
 
 
 class AdamW:
@@ -216,7 +219,9 @@ class TrainResult:
     best_step: int
 
 
-def _model_config(cfg: TrainConfig, classes: int, d_min: float, d_max: float) -> ModelConfig:
+def model_config(cfg: TrainConfig, classes: int, d_min: float, d_max: float) -> ModelConfig:
+    """The model a fresh ``train`` run builds for cfg on a dataset with these
+    classes and depth range."""
     return ModelConfig(task=cfg.task, k=cfg.k, variant=cfg.variant, head=cfg.head,
                        classes=classes, d_min=d_min, d_max=d_max)
 
@@ -245,7 +250,7 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, classes: int = 4,
         if model.cfg.task != cfg.task:
             raise ContractError(f"resume checkpoint is for task {model.cfg.task!r}")
     else:
-        model = Model(_model_config(cfg, classes, d_min, d_max), seed=cfg.seed)
+        model = Model(model_config(cfg, classes, d_min, d_max), seed=cfg.seed)
         opt_state = None
     params = model.params()
     opt = AdamW(params, cfg.lr, cfg.weight_decay, backbone_lr_mult=cfg.backbone_lr_mult)

@@ -136,6 +136,37 @@ def test_eval_out_of_range_meta_index_is_one_line_runtime_error(data, depth_ckpt
     assert _single_line_error(capsys)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("meta/k", np.float32("nan")),
+    ("meta/widths", np.asarray([32, 64], dtype=np.float32)),
+    ("meta/d", np.float32(0)),
+])
+def test_eval_malformed_meta_count_is_one_line_runtime_error(data, depth_ckpt, tmp_path,
+                                                             capsys, key, value):
+    tensors = {n: a for n, a in read_checkpoint(depth_ckpt).items() if not n.startswith("opt/")}
+    tensors[key] = value
+    path = str(tmp_path / "bad_meta.pmxc")
+    write_checkpoint(path, tensors)
+    assert main(["eval", "--task", "depth", "--data", data, "--ckpt", path]) == 1
+    assert _single_line_error(capsys)
+
+
+@pytest.mark.parametrize("command", ["train", "ablate-k", "compare-baseline"])
+@pytest.mark.parametrize("flags", [
+    ["--steps", "0"], ["--batch", "0"], ["--k", "0"], ["--lr", "nan"],
+    ["--eval-every", "-1"],
+])
+def test_train_family_bad_flag_is_one_line_usage_error(data, tmp_path, capsys, command, flags):
+    if command == "ablate-k" and flags[0] == "--k":
+        flags = ["--k-list", "4,0"]
+    argv = [command, "--task", "depth", "--data", data, "--steps", "1", "--batch", "4"]
+    if command == "train":
+        argv += ["--out", str(tmp_path / "m.pmxc")]
+    assert main(argv + flags) == 2
+    assert _single_line_error(capsys)
+    assert not (tmp_path / "m.pmxc").exists()
+
+
 # ---- predict / probability maps ------------------------------------------------------
 
 

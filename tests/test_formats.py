@@ -71,6 +71,19 @@ def test_dataset_unsupported_version_rejected(tmp_path, small_split):
         read_dataset(path)
 
 
+@pytest.mark.parametrize("classes,d_min,d_max", [
+    (0, 0.5, 10.0), (4, 10.0, 0.5), (4, 0.0, 10.0), (4, 0.5, float("inf")),
+    (4, float("nan"), 10.0),
+])
+def test_dataset_header_out_of_range_rejected(tmp_path, small_split, classes, d_min, d_max):
+    path = _write(tmp_path, small_split)
+    blob = bytearray(open(path, "rb").read())
+    struct.pack_into("<Hff", blob, 16, classes, d_min, d_max)
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(FormatError, match="header"):
+        read_dataset(path)
+
+
 def test_dataset_rejects_empty_and_ragged(tmp_path, small_split):
     with pytest.raises(ContractError):
         write_dataset(str(tmp_path / "e.pmxd"), [], 4, 0.5, 10.0)

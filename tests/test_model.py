@@ -147,3 +147,41 @@ def test_config_from_meta_rejects_bad_indices(key, value):
     tensors[key] = np.float32(value)
     with pytest.raises(ContractError, match=key):
         config_from_meta(tensors)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("meta/k", np.float32("nan")),
+    ("meta/k", np.zeros(2, dtype=np.float32)),
+    ("meta/d", np.float32(0)),
+    ("meta/n_dec", np.float32(0.5)),
+    ("meta/classes", np.float32(-1)),
+    ("meta/widths", np.asarray([32, 64], dtype=np.float32)),
+    ("meta/widths", np.asarray([32, 0, 64], dtype=np.float32)),
+])
+def test_config_from_meta_rejects_bad_counts(key, value):
+    from pmx.model import _meta_tensors
+    tensors = _meta_tensors(ModelConfig(task="depth"))
+    tensors[key] = value
+    with pytest.raises(ContractError, match=key):
+        config_from_meta(tensors)
+
+
+@pytest.mark.parametrize("drange", [[10.0, 0.5], [0.0, 10.0], [0.5, float("nan")],
+                                    [0.5, float("inf")], [0.5]])
+def test_config_from_meta_rejects_bad_depth_range(drange):
+    from pmx.model import _meta_tensors
+    tensors = _meta_tensors(ModelConfig(task="depth"))
+    tensors["meta/drange"] = np.asarray(drange, dtype=np.float32)
+    with pytest.raises(ContractError, match="range|meta/drange"):
+        config_from_meta(tensors)
+
+
+@pytest.mark.parametrize("bad", [
+    ModelConfig(task="depth", d=0),
+    ModelConfig(task="depth", classes=0),
+    ModelConfig(task="depth", widths=(32, 64)),
+    ModelConfig(task="depth", d_min=2.0, d_max=1.0),
+])
+def test_config_rejects_bad_sizes_and_depth_range(bad):
+    with pytest.raises(ContractError):
+        bad.validate()

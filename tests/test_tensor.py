@@ -104,6 +104,99 @@ def test_conv2d_matches_direct_loop():
     np.testing.assert_allclose(y, want, rtol=1e-4, atol=1e-5)
 
 
+# ---- conv2d against direct loops ----------------------------------------------
+#
+# The references loop over output pixels and taps in float64.  Tolerances are
+# fixed from the dtype: a float64 kernel must agree to a few hundred ulps, and
+# a float32 kernel must stay inside the worst-case rounding bound of its
+# dot products, eps32 * (terms summed) * (the same sum over absolute values).
+
+
+def _conv_loop(xp, w, b, stride, ho, wo):
+    """Forward reference on a padded input: one 3x3 window per output pixel."""
+    bsz, cout = xp.shape[0], w.shape[0]
+    y = np.zeros((bsz, cout, ho, wo))
+    for oi in range(ho):
+        for oj in range(wo):
+            win = xp[:, :, oi * stride:oi * stride + 3, oj * stride:oj * stride + 3]
+            y[:, :, oi, oj] = np.einsum("bcij,ocij->bo", win, w) + b
+    return y
+
+
+def _conv_loop_vjp(xp, w, g, stride):
+    """dx, dW, db of the forward above for upstream gradient g."""
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for oi in range(g.shape[2]):
+        for oj in range(g.shape[3]):
+            rows = slice(oi * stride, oi * stride + 3)
+            cols = slice(oj * stride, oj * stride + 3)
+            dw += np.einsum("bo,bcij->ocij", g[:, :, oi, oj], xp[:, :, rows, cols])
+            dxp[:, :, rows, cols] += np.einsum("bo,ocij->bcij", g[:, :, oi, oj], w)
+    return dxp[:, :, 1:-1, 1:-1], dw, g.sum(axis=(0, 2, 3))
+
+
+def _conv_case(seed, bsz, cin, cout, h, w, stride):
+    x, wt, b = _n(seed, bsz, cin, h, w), _n(seed + 1, cout, cin, 3, 3), _n(seed + 2, cout)
+    ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
+    return x, wt, b, _n(seed + 3, bsz, cout, ho, wo)
+
+
+def _run_conv(x, wt, b, g, stride):
+    xt, wtt, bt = parameter(x), parameter(wt), parameter(b)
+    y = xt.conv2d(wtt, bt, stride=stride)
+    (y * constant(g)).sum().backward()
+    return y.data, xt.grad, wtt.grad, bt.grad
+
+
+F64_TOL = 256 * np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_float64_matches_loop_forward_with_bias(stride):
+    x, wt, b, _ = _conv_case(70, 2, 3, 4, 7, 9, stride)
+    ho, wo = (7 - 1) // stride + 1, (9 - 1) // stride + 1
+    with precision.verify():
+        y = Tensor(x).conv2d(Tensor(wt), Tensor(b), stride=stride).data
+    assert y.dtype == np.float64 and y.shape == (2, 4, ho, wo) and ho != wo
+    want = _conv_loop(np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1))), wt, b, stride, ho, wo)
+    np.testing.assert_allclose(y, want, rtol=F64_TOL, atol=F64_TOL)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_float64_vjp_matches_loop(stride):
+    x, wt, b, g = _conv_case(80, 2, 3, 4, 7, 9, stride)
+    with precision.verify():
+        _, dx, dw, db = _run_conv(x, wt, b, g, stride)
+    want_dx, want_dw, want_db = _conv_loop_vjp(
+        np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1))), wt, g, stride)
+    for got, want in ((dx, want_dx), (dw, want_dw), (db, want_db)):
+        assert got.dtype == np.float64 and got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=F64_TOL, atol=F64_TOL)
+
+
+@pytest.mark.parametrize("cin,cout,size,stride", [(3, 32, 64, 2), (64, 64, 16, 1)])
+def test_conv2d_float32_within_rounding_bound_of_float64(cin, cout, size, stride):
+    # encoder shapes: the stem's first conv and a stride-8 residual conv, batch 8
+    x, wt, b, g = (a.astype(np.float32) for a in _conv_case(90, 8, cin, cout, size, size, stride))
+    y32, dx32, dw32, db32 = _run_conv(x, wt, b, g, stride)
+    assert y32.dtype == np.float32
+    with precision.verify():
+        y64, dx64, dw64, db64 = _run_conv(x, wt, b, g, stride)
+        # the same sums over absolute values bound the rounding error of each
+        sy, sdx, sdw, sdb = _run_conv(np.abs(x), np.abs(wt), np.abs(b), np.abs(g), stride)
+    eps = float(np.finfo(np.float32).eps)
+    bsz, _, ho, wo = g.shape
+    bounds = (
+        (y32, y64, eps * (cin * 9 + 1) * sy),
+        (dx32, dx64, eps * cout * 9 * sdx),
+        (dw32, dw64, eps * bsz * ho * wo * sdw),
+        (db32, db64, eps * bsz * ho * wo * sdb),
+    )
+    for got, want, bound in bounds:
+        assert np.all(np.abs(got - want) <= bound)
+
+
 def test_avg_pool_2x_means_blocks():
     x = np.arange(16.0).reshape(1, 1, 4, 4)
     y = Tensor(x).avg_pool2d(2)

@@ -121,6 +121,9 @@ def test_order_wraps_across_epoch_boundary():
     TrainConfig(task="depth", batch=0),
     TrainConfig(task="depth", lr=-1.0),
     TrainConfig(task="depth", weight_decay=-0.1),
+    TrainConfig(task="depth", lr=float("nan")),
+    TrainConfig(task="depth", lr=float("inf")),
+    TrainConfig(task="depth", eval_every=-1),
 ])
 def test_train_config_validation(bad):
     with pytest.raises(ContractError):
