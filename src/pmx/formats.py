@@ -102,8 +102,9 @@ def read_dataset(path: str) -> Tuple[DatasetHeader, List[Sample]]:
     d_min, d_max = struct.unpack_from("<ff", blob, 18)
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    if classes < 1 or not 0 < d_min < d_max < math.inf:
-        raise FormatError(f"{path}: header has {classes} classes, depth range [{d_min}, {d_max}]")
+    if h < 1 or w < 1 or classes < 1 or not 0 < d_min < d_max < math.inf:
+        raise FormatError(f"{path}: header has {h}x{w} pixels, {classes} classes, "
+                          f"depth range [{d_min}, {d_max}]")
     hdr = DatasetHeader(count, h, w, classes, d_min, d_max)
     per = h * w * (3 * 4 + 1 + 4 + 3 * 4)
     need = 26 + per * count

@@ -9,10 +9,19 @@ and differ only in what each cluster stands for: a fixed class identity
 unit direction on the sphere (normals).  Continuous outputs are the
 P-weighted linear combination of the cluster values.
 
-P is computed at the feature stride and bilinearly upsampled 4x before
-composition, with rows renormalized to sum exactly to 1.  Segmentation
-trains on the upsampled raw logits instead (softmax order does not change
-the argmax, and cross-entropy wants logits).
+P lives on the feature grid (stride 4).  Depth and normals compose there,
+and only the composed channels are bilinearly upsampled 4x:
+
+    depth   U(P) b = U(P b)
+    normal  unit(U(P) v) = unit(U(P v))
+
+Both hold because U acts on pixels and the composition on clusters, and
+both are linear.  U's weights (0.25, 0.75, 1.0) are row-stochastic, so
+depth stays a convex combination of bin centers.  No K-channel
+full-resolution P is built for training, and the unit step comes after
+the upsample.  Segmentation trains on the upsampled raw logits instead
+(softmax order does not change the argmax, and cross-entropy wants
+logits).
 
 A per-pixel regression baseline head (one linear map from F, no clusters)
 is included for comparison runs.
@@ -49,16 +58,6 @@ def upsample_rows(rows: Tensor, grid: Tuple[int, int]) -> Tensor:
     x = rows.transpose_last2().reshape(b, c, h4, w4)
     x = x.bilinear_upsample2x().bilinear_upsample2x()
     return x.reshape(b, c, 16 * h4 * w4).transpose_last2()
-
-
-def renormalize_rows(p: Tensor) -> Tensor:
-    s = p.sum(axis=-1, keepdims=True).clamp_min(1e-12)
-    return p / s.expand_axis(p.ndim - 1, p.shape[-1])
-
-
-def upsample_probability_map(p: Tensor, grid: Tuple[int, int]) -> Tensor:
-    """Full-resolution P: bilinear 4x then exact row renormalization."""
-    return renormalize_rows(upsample_rows(p, grid))
 
 
 def seg_predict(p: Tensor, classes: int) -> np.ndarray:
@@ -101,15 +100,17 @@ class BinsHead:
         return out
 
 
-def depth_compose(p: Tensor, b: Tensor) -> Tensor:
+def depth_compose(p: Tensor, b: Tensor, grid: Tuple[int, int]) -> Tensor:
     """d(pixel) = sum_i P(pixel, i) b_i: a convex combination of bin centers.
 
-    p is (B, N, K), b is (B, K); returns (B, N).
+    p is the (B, h4*w4, K) map on the ``grid = (h4, w4)`` feature grid and b
+    is (B, K); returns the upsampled depth, (B, 16*h4*w4).
     """
     if p.shape[-1] != b.shape[-1] or p.shape[0] != b.shape[0]:
         raise ShapeError(f"probability map {p.shape} vs bins {b.shape}")
     bk = b.reshape(b.shape[0], b.shape[1], 1)
-    return p.matmul(bk).reshape(p.shape[0], p.shape[1])
+    d = upsample_rows(p.matmul(bk), grid)
+    return d.reshape(d.shape[0], d.shape[1])
 
 
 class NormalHead:
@@ -134,17 +135,19 @@ def _unit_rows(v: Tensor) -> Tensor:
     return v / norm.expand_axis(v.ndim - 1, v.shape[-1])
 
 
-def normal_compose(p: Tensor, v: Tensor) -> Tuple[Tensor, np.ndarray]:
-    """P-weighted sum of segment centers, renormalized to unit length.
+def normal_compose(p: Tensor, v: Tensor, grid: Tuple[int, int]) -> Tuple[Tensor, np.ndarray]:
+    """P-weighted sum of segment centers, upsampled, then unit length.
 
-    Returns the unit normal map (B, N, 3) and the pre-normalization norms
-    (numpy, no gradient) as a degeneracy diagnostic: a norm near zero means
-    the combination collapsed (e.g. equal weight on antipodal centers) and
-    the epsilon guard decided the direction.
+    p is the (B, h4*w4, K) map on the ``grid = (h4, w4)`` feature grid and v
+    is (B, K, 3).  Returns the unit normal map (B, 16*h4*w4, 3) and the
+    pre-normalization norms (B, 16*h4*w4) (numpy, no gradient) as a
+    degeneracy diagnostic: a norm near zero means the combination collapsed
+    (e.g. equal weight on antipodal centers) and the epsilon guard decided
+    the direction.
     """
     if p.shape[-1] != v.shape[1] or p.shape[0] != v.shape[0]:
         raise ShapeError(f"probability map {p.shape} vs segment centers {v.shape}")
-    raw = p.matmul(v)
+    raw = upsample_rows(p.matmul(v), grid)
     prenorm = np.sqrt((raw.data ** 2).sum(axis=-1))
     return _unit_rows(raw), prenorm
 

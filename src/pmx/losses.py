@@ -24,7 +24,6 @@ from .tensor import Tensor
 @dataclass(frozen=True)
 class LossConfig:
     silog_lambda: float = 0.5
-    charbonnier_eps: float = 1e-3
     grad_scales: int = 4
     ignore_label: int = 255
     depth_weights: Tuple[float, float, float] = (1.0, 1.0, 1.0)  # silog, rel_sq, grad
@@ -32,8 +31,6 @@ class LossConfig:
     def validate(self) -> None:
         if not 0.0 <= self.silog_lambda <= 1.0:
             raise ContractError(f"silog lambda {self.silog_lambda} outside [0,1]")
-        if self.charbonnier_eps <= 0:
-            raise ContractError("charbonnier eps must be positive")
         if self.grad_scales < 1:
             raise ContractError("gradient loss needs at least one scale")
 

@@ -30,6 +30,7 @@ from .tensor import Tensor, no_grad
 TASKS = ("seg", "depth", "normal")
 VARIANTS = ("kmeans", "standard")
 HEAD_KINDS = ("cluster", "baseline")
+PRED_KEY = {"seg": "logits", "depth": "depth", "normal": "normal"}
 
 
 @dataclass(frozen=True)
@@ -92,58 +93,56 @@ class Model:
         f, grid = self.encoder.rows(images)
         return f, None, grid
 
-    @staticmethod
-    def _full_probability_map(f: Tensor, q: Tensor, grid: Tuple[int, int]) -> Tensor:
-        """P at full resolution, (B, HW, K) with rows summing to 1."""
-        return heads.upsample_probability_map(heads.probability_map(f, q), grid)
-
-    def train_outputs(self, images: Tensor) -> Dict[str, object]:
-        """Graph tensors the loss consumes, at full resolution.
+    def train_outputs(self, images: Tensor) -> Dict[str, Tensor]:
+        """The graph tensor the loss consumes, at full resolution, under its
+        task's ``PRED_KEY``:
 
         seg    'logits': (B, HW, C) upsampled raw logits
-        depth  'depth':  (B, HW) meters, plus 'bins' (B, K)
-        normal 'normal': (B, HW, 3) unit rows, plus 'prenorm' diagnostics
+        depth  'depth':  (B, HW) meters
+        normal 'normal': (B, HW, 3) unit rows
+
+        The cluster heads compose depth and normals on the feature grid and
+        upsample only the composed channels (see ``pmx.heads``).
         """
         cfg = self.cfg
+        key = PRED_KEY[cfg.task]
         f, q, grid = self._features(images)
         if cfg.head == "baseline":
-            out = self.baseline_head(f, grid)
-            key = {"seg": "logits", "depth": "depth", "normal": "normal"}[cfg.task]
-            return {key: out, "grid": grid}
+            return {key: self.baseline_head(f, grid)}
         if cfg.task == "seg":
-            logits4 = f.matmul(q.transpose_last2())
-            return {"logits": heads.upsample_rows(logits4, grid), "grid": grid}
-        p_full = self._full_probability_map(f, q, grid)
+            return {key: heads.upsample_rows(f.matmul(q.transpose_last2()), grid)}
+        p = heads.probability_map(f, q)
         if cfg.task == "depth":
             b, _ = self.bins_head(q, cfg.d_min, cfg.d_max)
-            return {"depth": heads.depth_compose(p_full, b), "bins": b, "grid": grid}
-        v = self.normal_head(q)
-        n, prenorm = heads.normal_compose(p_full, v)
-        return {"normal": n, "v": v, "prenorm": prenorm, "grid": grid}
+            return {key: heads.depth_compose(p, b, grid)}
+        return {key: heads.normal_compose(p, self.normal_head(q), grid)[0]}
 
     def predict(self, images: Tensor) -> np.ndarray:
-        """Numpy predictions, no graph.  seg: (B, H, W) class ids via the
-        upsampled renormalized probability map; depth: (B, H, W) meters;
-        normal: (B, H, W, 3) unit vectors."""
+        """Numpy predictions, no graph.  seg: (B, H, W) class ids, the argmax
+        of the upsampled probability map (cluster head) or of the upsampled
+        logits (baseline); depth: (B, H, W) meters; normal: (B, H, W, 3) unit
+        vectors."""
         bsz, _, h, w = images.shape
         with no_grad():
             if self.cfg.task == "seg" and self.cfg.head == "cluster":
-                p_full = self._full_probability_map(*self._features(images))
+                f, q, grid = self._features(images)
+                p_full = heads.upsample_rows(heads.probability_map(f, q), grid)
                 return heads.seg_predict(p_full, self.cfg.classes).reshape(bsz, h, w)
-            out = self.train_outputs(images)
+            out = self.train_outputs(images)[PRED_KEY[self.cfg.task]].data
         if self.cfg.task == "seg":
-            return out["logits"].data.argmax(axis=-1).reshape(bsz, h, w)
-        if self.cfg.task == "depth":
-            return out["depth"].data.reshape(bsz, h, w)
-        return out["normal"].data.reshape(bsz, h, w, 3)
+            out = out.argmax(axis=-1)
+        return out.reshape(bsz, h, w, *out.shape[2:])
 
     def probability_panels(self, images: Tensor) -> np.ndarray:
-        """Upsampled renormalized P as (B, K, H, W) numpy (cluster head only)."""
+        """The upsampled probability map as (B, K, H, W) numpy, one panel per
+        cluster (cluster head only).  Each pixel's K values sum to 1 up to
+        float rounding, since the bilinear weights are row-stochastic."""
         if self.backbone is None:
             raise ContractError("baseline head has no probability map")
         bsz, _, h, w = images.shape
         with no_grad():
-            p_full = self._full_probability_map(*self._features(images))
+            f, q, grid = self._features(images)
+            p_full = heads.upsample_rows(heads.probability_map(f, q), grid)
         return p_full.data.swapaxes(-1, -2).reshape(bsz, self.cfg.k, h, w)
 
     def bin_centers(self, images: Tensor) -> np.ndarray:

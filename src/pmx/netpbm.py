@@ -7,7 +7,7 @@ component of -1 lands at 0 and 0.0 lands at 128.
 
 from __future__ import annotations
 
-from typing import Tuple
+import re
 
 import numpy as np
 
@@ -37,34 +37,31 @@ def write_ppm(path: str, rgb: np.ndarray) -> None:
         fh.write(rgb.tobytes())
 
 
-def _read_header(blob: bytes, magic: bytes) -> Tuple[int, int, int]:
-    if not blob.startswith(magic):
-        raise FormatError(f"bad NetPBM magic {blob[:2]!r}")
-    fields = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(blob) and blob[pos:pos + 1].isspace():
-            pos += 1
-        if blob[pos:pos + 1] == b"#":
-            while pos < len(blob) and blob[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(int(blob[start:pos]))
-    return fields[0], fields[1], pos + 1
+# magic, then width, height and maxval as decimal fields separated by
+# whitespace or comments, then exactly one whitespace byte before the raster
+_SEP = rb"(?:\s|#[^\n]*\n)+"
+_FIELDS = re.compile((_SEP + rb"(\d+)") * 3 + rb"\s")
+
+
+def _read(path: str, magic: bytes, channels: int) -> np.ndarray:
+    """The (H, W, channels) u8 raster of a binary NetPBM file; anything else
+    raises FormatError."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    m = _FIELDS.match(blob, 2) if blob.startswith(magic) else None
+    if m is None:
+        raise FormatError(f"{path}: no {magic.decode()} header with three decimal fields")
+    w, h, maxval = map(int, m.groups())
+    n = h * w * channels
+    if w < 1 or h < 1 or maxval != 255 or len(blob) - m.end() < n:
+        raise FormatError(f"{path}: {w}x{h} maxval {maxval} with {len(blob) - m.end()} "
+                          f"payload bytes; need a positive size, maxval 255, {n} bytes")
+    return np.frombuffer(blob, np.uint8, n, m.end()).reshape(h, w, channels).copy()
 
 
 def read_pgm(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    w, h, off = _read_header(blob, b"P5")
-    return np.frombuffer(blob, np.uint8, h * w, off).reshape(h, w).copy()
+    return _read(path, b"P5", 1)[:, :, 0]
 
 
 def read_ppm(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    w, h, off = _read_header(blob, b"P6")
-    return np.frombuffer(blob, np.uint8, h * w * 3, off).reshape(h, w, 3).copy()
+    return _read(path, b"P6", 3)

@@ -25,7 +25,7 @@ from .errors import ContractError, TrainingDiverged
 from .losses import LossConfig, total_loss
 from .metrics import (PRIMARY_METRIC, MetricReport, depth_metrics, miou,
                       normal_metrics, report_for)
-from .model import Model, ModelConfig, load_model, save_model
+from .model import PRED_KEY, Model, ModelConfig, load_model, save_model
 from .rng import SplitMix64, mix_seed_index
 from .scene import Sample
 from .tensor import Tensor
@@ -276,8 +276,7 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, classes: int = 4,
     for step in range(opt.t, cfg.steps):
         idx = order.batch_indices(step)
         images, labels, depth, normal = _batch_arrays(samples, idx)
-        outputs = model.train_outputs(Tensor(images))
-        prediction = outputs.get({"seg": "logits", "depth": "depth", "normal": "normal"}[cfg.task])
+        prediction = model.train_outputs(Tensor(images))[PRED_KEY[cfg.task]]
         if cfg.task == "seg":
             b, n, c = prediction.shape
             prediction = prediction.reshape(b * n, c)

@@ -18,8 +18,7 @@ import pytest
 from pmx import precision
 from pmx.gradcheck import gradcheck
 from pmx.heads import (BinsHead, NormalHead, bins_from_logits, depth_compose,
-                       normal_compose, probability_map,
-                       upsample_probability_map, upsample_rows)
+                       normal_compose, probability_map, upsample_rows)
 from pmx.losses import (LossConfig, charbonnier, multiscale_grad, normal_l2,
                         rel_sq, seg_cross_entropy, silog, total_loss)
 from pmx.metrics import angular_error_deg, depth_metrics, miou, normal_metrics
@@ -109,9 +108,8 @@ def test_gradient_check_all_ops_and_composed_head_losses():
             bh = BinsHead(SplitMix64(5), 4)
 
         def depth_fn(f, q):
-            p = upsample_probability_map(probability_map(f, q), (2, 2))
             b, _ = bh(q, 0.5, 10.0)
-            return total_loss("depth", depth_compose(p, b),
+            return total_loss("depth", depth_compose(probability_map(f, q), b, (2, 2)),
                               {"depth": gt_d, "mask": mask}, LossConfig(), (8, 8))[0]
 
         errs[f"composed_depth_k{k}"] = gradcheck(
@@ -122,8 +120,7 @@ def test_gradient_check_all_ops_and_composed_head_losses():
             nh = NormalHead(SplitMix64(6), 4)
 
         def normal_fn(f, q):
-            p = upsample_probability_map(probability_map(f, q), (2, 2))
-            n, _ = normal_compose(p, nh(q))
+            n, _ = normal_compose(probability_map(f, q), nh(q), (2, 2))
             return total_loss("normal", n, {"normal": gt_n, "mask": mask},
                               LossConfig(), (8, 8))[0]
 
@@ -169,7 +166,7 @@ def test_bin_centers_ordered_in_range_and_depth_contained():
             assert b.data.min() > d_min and b.data.max() < d_max
             n = int(rng.integers(1, 17))
             p = Tensor(rng.standard_normal((n, k)) * 2).softmax(axis=-1)
-            d = depth_compose(p.reshape(1, n, k), b.reshape(1, k)).data
+            d = depth_compose(p.reshape(1, n, k), b.reshape(1, k), (n, 1)).data
             # convex combination; zero observed violation at 64 bit
             assert d.min() >= b.data.min() and d.max() <= b.data.max()
 

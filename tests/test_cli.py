@@ -83,6 +83,14 @@ def test_train_missing_data_is_runtime_error(tmp_path):
                  str(tmp_path / "absent.pmxd"), "--steps", "1"]) == 1
 
 
+def test_train_zero_size_dataset_is_one_line_runtime_error(tmp_path, capsys):
+    path = tmp_path / "zero.pmxd"
+    path.write_bytes(b"PMXD" + struct.pack("<IIHHHff", 1, 1, 0, 0, 4, 0.5, 10.0))
+    assert main(["train", "--task", "depth", "--variant", "standard",
+                 "--data", str(path), "--steps", "1"]) == 1
+    assert _single_line_error(capsys)
+
+
 def test_eval_prints_report_json(data, depth_ckpt, capsys, tmp_path):
     report_path = str(tmp_path / "report.json")
     code = main(["eval", "--task", "depth", "--data", data,

@@ -8,6 +8,7 @@ import pytest
 
 from pmx.errors import ContractError, CorruptionError, FormatError
 from pmx.formats import (
+    DATASET_MAGIC,
     fnv1a64,
     read_checkpoint,
     read_dataset,
@@ -82,6 +83,15 @@ def test_dataset_header_out_of_range_rejected(tmp_path, small_split, classes, d_
     open(path, "wb").write(bytes(blob))
     with pytest.raises(FormatError, match="header"):
         read_dataset(path)
+
+
+@pytest.mark.parametrize("h,w", [(0, 0), (0, 16), (16, 0)])
+def test_dataset_header_zero_size_rejected(tmp_path, h, w):
+    # one sample of h*w = 0 pixels: the 26-byte file is exactly as long as it claims
+    path = tmp_path / "z.pmxd"
+    path.write_bytes(DATASET_MAGIC + struct.pack("<IIHHHff", 1, 1, h, w, 4, 0.5, 10.0))
+    with pytest.raises(FormatError, match="header"):
+        read_dataset(str(path))
 
 
 def test_dataset_rejects_empty_and_ragged(tmp_path, small_split):
@@ -236,6 +246,24 @@ def test_pgm_header_tolerates_comments(tmp_path):
     got = read_pgm(path)
     assert got.shape == (2, 3)
     assert got.tobytes() == body
+
+
+@pytest.mark.parametrize("magic,channels", [(b"P5", 1), (b"P6", 3)], ids=["pgm", "ppm"])
+@pytest.mark.parametrize("header,payload", [
+    (b"\n4", 0),
+    (b"\nab 4\n255\n", 16),
+    (b"\n4 4\n255\n", 15),
+    (b"\n-4 4\n255\n", 16),
+    (b"\n4 0\n255\n", 0),
+    (b"\n4 4\n65535\n", 32),
+], ids=["truncated-header", "non-numeric", "short-payload", "negative-width",
+        "zero-height", "maxval-65535"])
+def test_netpbm_malformed_input_raises_format_error(tmp_path, magic, channels, header, payload):
+    path = str(tmp_path / "bad.pnm")
+    open(path, "wb").write(magic + header + bytes(payload * channels))
+    read = read_pgm if magic == b"P5" else read_ppm
+    with pytest.raises(FormatError):
+        read(path)
 
 
 def test_flat_normal_encodes_to_half_gray():

@@ -13,9 +13,7 @@ from pmx.heads import (
     depth_compose,
     normal_compose,
     probability_map,
-    renormalize_rows,
     seg_predict,
-    upsample_probability_map,
     upsample_rows,
 )
 from pmx.rng import SplitMix64
@@ -56,7 +54,7 @@ def test_probability_map_rejects_mismatched_dims():
 
 def test_upsampled_map_rows_still_sum_to_one():
     p4 = probability_map(Tensor(_n(7, 1, 16, 8)), Tensor(_n(8, 1, 4, 8)))
-    p = upsample_probability_map(p4, (4, 4))
+    p = upsample_rows(p4, (4, 4))
     assert p.shape == (1, 256, 4)
     np.testing.assert_allclose(p.data.sum(-1), 1.0, atol=1e-6)
 
@@ -64,12 +62,6 @@ def test_upsampled_map_rows_still_sum_to_one():
 def test_upsample_rows_rejects_bad_grid():
     with pytest.raises(ShapeError):
         upsample_rows(Tensor(_n(9, 1, 15, 2)), (4, 4))
-
-
-def test_renormalize_rows_restores_simplex():
-    p = np.abs(_n(10, 3, 5)) + 0.1
-    got = renormalize_rows(Tensor(p))
-    np.testing.assert_allclose(got.data.sum(-1), 1.0, atol=1e-7)
 
 
 # ---- segmentation ---------------------------------------------------------------
@@ -140,15 +132,19 @@ def test_bins_invariant_to_logit_shift():
 def test_depth_compose_dot_product_example():
     p = Tensor(np.array([[[0.25, 0.75]]]))
     b = Tensor(np.array([[2.0, 4.0]]))
-    np.testing.assert_allclose(depth_compose(p, b).data, [[3.5]], atol=1e-7)
+    # a 1x1 grid upsamples to 16 identical pixels
+    np.testing.assert_allclose(depth_compose(p, b, (1, 1)).data, np.full((1, 16), 3.5),
+                               atol=1e-7)
 
 
 def test_depth_compose_one_hot_and_uniform():
     b = Tensor(np.array([[1.0, 3.0]]))
     one_hot = Tensor(np.array([[[0.0, 1.0]]]))
-    np.testing.assert_allclose(depth_compose(one_hot, b).data, [[3.0]], atol=1e-7)
+    np.testing.assert_allclose(depth_compose(one_hot, b, (1, 1)).data, np.full((1, 16), 3.0),
+                               atol=1e-7)
     uniform = Tensor(np.array([[[0.5, 0.5]]]))
-    np.testing.assert_allclose(depth_compose(uniform, b).data, [[2.0]], atol=1e-7)
+    np.testing.assert_allclose(depth_compose(uniform, b, (1, 1)).data, np.full((1, 16), 2.0),
+                               atol=1e-7)
 
 
 def test_depth_compose_stays_convex_for_random_draws():
@@ -159,7 +155,7 @@ def test_depth_compose_stays_convex_for_random_draws():
         b, _ = head(q, 0.5, 10.0)
         p = probability_map(Tensor(gen.normals(2 * 20 * 8).reshape(2, 20, 8)),
                             q)
-        d = depth_compose(p, b).data
+        d = depth_compose(p, b, (4, 5)).data
         lo = b.data.min(axis=1, keepdims=True)
         hi = b.data.max(axis=1, keepdims=True)
         assert (d >= lo - 1e-5).all() and (d <= hi + 1e-5).all()
@@ -177,7 +173,7 @@ def test_normal_head_rows_are_unit():
 def test_normal_compose_blend_example():
     p = Tensor(np.array([[[0.5, 0.5]]]))
     v = Tensor(np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]]))
-    n, prenorm = normal_compose(p, v)
+    n, prenorm = normal_compose(p, v, (1, 1))
     s = np.sqrt(2.0) / 2.0
     np.testing.assert_allclose(n.data[0, 0], [s, s, 0.0], atol=1e-6)
     np.testing.assert_allclose(prenorm[0, 0], np.sqrt(0.5), atol=1e-6)
@@ -186,7 +182,7 @@ def test_normal_compose_blend_example():
 def test_normal_compose_antipodal_degenerate_is_finite_and_flagged():
     p = Tensor(np.array([[[0.5, 0.5]]]))
     v = Tensor(np.array([[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]]))
-    n, prenorm = normal_compose(p, v)
+    n, prenorm = normal_compose(p, v, (1, 1))
     assert np.isfinite(n.data).all()
     assert prenorm[0, 0] < 1e-7
 
@@ -194,8 +190,28 @@ def test_normal_compose_antipodal_degenerate_is_finite_and_flagged():
 def test_normal_compose_one_hot_returns_center():
     p = Tensor(np.array([[[0.0, 1.0]]]))
     v = Tensor(np.array([[[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]]]))
-    n, _ = normal_compose(p, v)
+    n, _ = normal_compose(p, v, (1, 1))
     np.testing.assert_allclose(n.data[0, 0], [0.0, 0.6, 0.8], atol=1e-6)
+
+
+def test_grid_composition_matches_full_resolution_map():
+    # oracle: upsample the K-channel map first, renormalize its rows, then
+    # compose; the shipped order composes on the non-square 3x5 grid first
+    with precision.verify():
+        gen = SplitMix64(24)
+        p4 = probability_map(Tensor(gen.normals(2 * 15 * 8).reshape(2, 15, 8)),
+                             Tensor(gen.normals(2 * 4 * 8).reshape(2, 4, 8)))
+        u = upsample_rows(p4, (3, 5)).data
+        assert u.shape == (2, 240, 4)
+        b, _ = bins_from_logits(Tensor(gen.normals(8).reshape(2, 4)), 0.5, 10.0)
+        want_d = ((u / u.sum(-1, keepdims=True)) @ b.data[..., None])[..., 0]
+        np.testing.assert_allclose(depth_compose(p4, b, (3, 5)).data, want_d, rtol=1e-12)
+        v = Tensor(gen.normals(2 * 4 * 3).reshape(2, 4, 3))
+        raw = u @ v.data
+        norm = np.linalg.norm(raw, axis=-1)
+        n, prenorm = normal_compose(p4, v, (3, 5))
+        np.testing.assert_allclose(prenorm, norm, rtol=1e-12)
+        np.testing.assert_allclose(n.data, raw / norm[..., None], rtol=0, atol=1e-12)
 
 
 # ---- baseline head -------------------------------------------------------------------

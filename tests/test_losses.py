@@ -273,7 +273,6 @@ def test_total_loss_unknown_task_raises():
 @pytest.mark.parametrize("bad", [
     LossConfig(silog_lambda=-0.1),
     LossConfig(silog_lambda=1.5),
-    LossConfig(charbonnier_eps=0.0),
     LossConfig(grad_scales=0),
 ])
 def test_loss_config_validation(bad):
