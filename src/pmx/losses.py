@@ -33,6 +33,8 @@ class LossConfig:
             raise ContractError(f"silog lambda {self.silog_lambda} outside [0,1]")
         if self.grad_scales < 1:
             raise ContractError("gradient loss needs at least one scale")
+        if len(self.depth_weights) != 3 or min(self.depth_weights) < 0.0:
+            raise ContractError(f"depth weights {self.depth_weights} must be three non-negative numbers")
 
 
 def _safe_gt(gt: np.ndarray, mask: np.ndarray) -> np.ndarray:

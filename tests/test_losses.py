@@ -274,6 +274,7 @@ def test_total_loss_unknown_task_raises():
     LossConfig(silog_lambda=-0.1),
     LossConfig(silog_lambda=1.5),
     LossConfig(grad_scales=0),
+    LossConfig(depth_weights=(1.0, -1.0, 1.0)),
 ])
 def test_loss_config_validation(bad):
     with pytest.raises(ContractError):
