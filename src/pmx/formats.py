@@ -1,10 +1,13 @@
 """Bit-exact binary container formats.
 
-Dataset files (magic ``PMXD``) hold a fixed header followed by packed
-per-sample payloads; checkpoint files (magic ``PMXC``) hold named f32
-tensors sorted by name with a trailing FNV-1a checksum, so two writes of
-the same content are byte-identical and any flipped byte is detected on
-read.  Both formats are little-endian throughout and written atomically
+Dataset files (magic ``PMXD``, version 1) hold a fixed header followed by
+packed per-sample payloads.  Checkpoint files (magic ``PMXC``) hold named
+f32 tensors sorted by name and end in an 8-byte little-endian checksum of
+everything before it: in version 2, the one written, the zlib CRC-32 of
+the body with the upper 32 bits zero; in version 1, still read, FNV-1a
+64.  Two writes of the same content are byte-identical, and any flipped
+byte is detected on read (CRC-32 catches every error burst of up to 32
+bits).  Both formats are little-endian throughout and written atomically
 (temp file in the same directory, then rename).
 
 A dataset may carry a sidecar manifest: UTF-8 JSON at ``path + ".json"``
@@ -14,10 +17,12 @@ the normal-frame convention.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -28,7 +33,8 @@ from .scene import Sample
 
 DATASET_MAGIC = b"PMXD"
 CHECKPOINT_MAGIC = b"PMXC"
-VERSION = 1
+DATASET_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -42,11 +48,20 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
+# checkpoint version -> checksum of the body; version 1 is read only
+_CHECKSUMS = {1: fnv1a64, 2: zlib.crc32}
+
+
 def _atomic_write(path: str, blob: bytes) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 # ---- dataset ------------------------------------------------------------------
@@ -75,7 +90,7 @@ def write_dataset(
     h, w = samples[0].labels.shape
     parts = [
         DATASET_MAGIC,
-        struct.pack("<IIHHH", VERSION, len(samples), h, w, classes),
+        struct.pack("<IIHHH", DATASET_VERSION, len(samples), h, w, classes),
         struct.pack("<ff", d_min, d_max),
     ]
     for i, s in enumerate(samples):
@@ -100,7 +115,7 @@ def read_dataset(path: str) -> Tuple[DatasetHeader, List[Sample]]:
         raise FormatError(f"{path}: truncated header at offset {len(blob)}")
     version, count, h, w, classes = struct.unpack_from("<IIHHH", blob, 4)
     d_min, d_max = struct.unpack_from("<ff", blob, 18)
-    if version != VERSION:
+    if version != DATASET_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     if h < 1 or w < 1 or classes < 1 or not 0 < d_min < d_max < math.inf:
         raise FormatError(f"{path}: header has {h}x{w} pixels, {classes} classes, "
@@ -141,48 +156,49 @@ def write_checkpoint(path: str, tensors: Dict[str, np.ndarray]) -> None:
     names = sorted(tensors)
     if len(names) != len(set(names)):
         raise ContractError("duplicate tensor names")
-    parts = [CHECKPOINT_MAGIC, struct.pack("<II", VERSION, len(names))]
+    parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(names))]
     for name in names:
-        arr = np.asarray(tensors[name], dtype="<f4")
+        arr = np.asarray(tensors[name], dtype="<f4", order="C")
         enc = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(enc)))
-        parts.append(enc)
-        parts.append(struct.pack("<B", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(arr.tobytes())
-    body = b"".join(parts)
-    _atomic_write(path, body + struct.pack("<Q", fnv1a64(body)))
+        parts += [struct.pack("<H", len(enc)), enc, struct.pack("<B", arr.ndim),
+                  struct.pack(f"<{arr.ndim}I", *arr.shape), arr]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    parts.append(struct.pack("<Q", crc))
+    _atomic_write(path, b"".join(parts))
 
 
 def read_checkpoint(path: str) -> Dict[str, np.ndarray]:
+    """Read a version 1 or 2 checkpoint; the version picks the checksum."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad magic {blob[:4]!r}")
     if len(blob) < 20:
         raise FormatError(f"{path}: truncated at offset {len(blob)}")
-    body, tail = blob[:-8], blob[-8:]
-    if fnv1a64(body) != struct.unpack("<Q", tail)[0]:
-        raise CorruptionError(f"{path}: checksum mismatch")
-    version, count = struct.unpack_from("<II", body, 4)
-    if version != VERSION:
+    version, count = struct.unpack_from("<II", blob, 4)
+    checksum = _CHECKSUMS.get(version)
+    if checksum is None:
         raise FormatError(f"{path}: unsupported version {version}")
+    body = memoryview(blob)[:-8]
+    if checksum(body) != struct.unpack_from("<Q", blob, len(body))[0]:
+        raise CorruptionError(f"{path}: checksum mismatch")
     out: Dict[str, np.ndarray] = {}
     off = 12
     try:
         for _ in range(count):
             (nlen,) = struct.unpack_from("<H", body, off)
             off += 2
-            name = body[off:off + nlen].decode("utf-8")
+            name = str(body[off:off + nlen], "utf-8")
             off += nlen
             (rank,) = struct.unpack_from("<B", body, off)
             off += 1
             dims = struct.unpack_from(f"<{rank}I", body, off)
             off += 4 * rank
             n = math.prod(dims)
-            arr = np.frombuffer(body, "<f4", n, off).reshape(dims).copy()
+            out[name] = np.frombuffer(body, "<f4", n, off).reshape(dims).astype(np.float32)
             off += 4 * n
-            out[name] = arr.astype(np.float32)
     except (struct.error, ValueError, OverflowError) as exc:  # ValueError: bad UTF-8 too
         raise FormatError(f"{path}: malformed entry {len(out)} of {count} "
                           f"at offset {off}: {exc}") from exc

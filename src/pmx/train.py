@@ -262,6 +262,7 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, classes: int = 4,
     reports: List[Tuple[int, MetricReport]] = []
     best: Tuple[float, int] = None
     best_hi = PRIMARY_METRIC[cfg.task][1]
+    last_norm: Tuple[int, float] = None   # (step, pre-clip norm) of the last finite one
 
     def record(done: int, rep: MetricReport) -> None:
         """Log a validation report; on a new best score, save ``.best``."""
@@ -284,12 +285,16 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, classes: int = 4,
                                  cfg.loss, (h, w))
         value = float(loss.data)
         if not math.isfinite(value):
+            grad = (f"last finite grad norm {last_norm[1]:.4g} at step {last_norm[0]}"
+                    if last_norm else "no finite grad norm yet")
             raise TrainingDiverged(
                 f"step {step}: loss {value}; terms {terms}; batch {idx.tolist()}; "
-                f"|images| mean {float(np.abs(images).mean()):.4g}")
+                f"|images| mean {float(np.abs(images).mean()):.4g}; {grad}")
         opt.zero_grad()
         loss.backward()
-        opt.clip_global_norm(cfg.clip_norm)
+        norm = opt.clip_global_norm(cfg.clip_norm)
+        if math.isfinite(norm):
+            last_norm = (step, norm)
         opt.step()
         trace.append((step, value, terms))
         if (cfg.eval_every and val_samples is not None

@@ -3,6 +3,7 @@
 import json
 import os
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -48,6 +49,14 @@ def test_generate_rejects_bad_count(tmp_path):
 def test_generate_rejects_bad_size(tmp_path):
     code = main(["generate", "--size", "3", "--out", str(tmp_path / "x.pmxd")])
     assert code == 2
+
+
+def test_generate_onto_directory_is_one_line_runtime_error(tmp_path, capsys):
+    out = tmp_path / "x.pmxd"
+    out.mkdir()
+    assert main(["generate", "--count", "1", "--size", "16", "--out", str(out)]) == 1
+    assert _single_line_error(capsys)
+    assert [f for f in os.listdir(tmp_path) if ".tmp." in f] == []
 
 
 @pytest.mark.parametrize("size", ["20", "18"])
@@ -130,6 +139,15 @@ def test_eval_malformed_checkpoint_is_one_line_runtime_error(data, tmp_path, cap
             + struct.pack("<BI", 1, 2) + b"\0" * 8)
     path = tmp_path / "forged.pmxc"
     path.write_bytes(body + struct.pack("<Q", fnv1a64(body)))
+    assert main(["eval", "--task", "depth", "--data", data, "--ckpt", str(path)]) == 1
+    assert _single_line_error(capsys)
+
+
+def test_eval_unsupported_checkpoint_version_is_one_line_runtime_error(data, tmp_path, capsys):
+    body = (b"PMXC" + struct.pack("<II", 3, 1) + struct.pack("<H", 1) + b"x"
+            + struct.pack("<BI", 1, 2) + b"\0" * 8)
+    path = tmp_path / "v3.pmxc"
+    path.write_bytes(body + struct.pack("<Q", zlib.crc32(body)))
     assert main(["eval", "--task", "depth", "--data", data, "--ckpt", str(path)]) == 1
     assert _single_line_error(capsys)
 

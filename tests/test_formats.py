@@ -2,12 +2,14 @@
 
 import os
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from pmx.errors import ContractError, CorruptionError, FormatError
 from pmx.formats import (
+    CHECKPOINT_MAGIC,
     DATASET_MAGIC,
     fnv1a64,
     read_checkpoint,
@@ -117,6 +119,20 @@ def test_no_temp_files_left_behind(tmp_path, small_split):
     assert leftovers == []
 
 
+@pytest.mark.parametrize("kind", ["dataset", "checkpoint"])
+def test_failed_write_onto_directory_leaves_no_temp_file(tmp_path, small_split, kind):
+    target = tmp_path / ("out.pmxd" if kind == "dataset" else "out.pmxc")
+    target.mkdir()
+    before = sorted(os.listdir(tmp_path))
+    with pytest.raises(OSError):
+        if kind == "dataset":
+            write_dataset(str(target), small_split[:2], 4, 0.5, 10.0)
+        else:
+            write_checkpoint(str(target), _tensors())
+    assert sorted(os.listdir(tmp_path)) == before
+    assert os.listdir(target) == []
+
+
 # ---- checkpoint files -----------------------------------------------------------
 
 
@@ -170,11 +186,11 @@ def test_checkpoint_zero_dim_scalar_roundtrip(tmp_path):
     assert got["x"].shape == () and float(got["x"]) == 3.5
 
 
-def _forge(path, count, entries):
+def _forge(path, count, entries, version=1, checksum=fnv1a64):
     """A checkpoint whose header claims ``count`` entries, with a valid checksum."""
-    body = b"PMXC" + struct.pack("<II", 1, count) + entries
+    body = b"PMXC" + struct.pack("<II", version, count) + entries
     with open(path, "wb") as fh:
-        fh.write(body + struct.pack("<Q", fnv1a64(body)))
+        fh.write(body + struct.pack("<Q", checksum(body)))
 
 
 def _entry(name, dims, payload):
@@ -182,7 +198,7 @@ def _entry(name, dims, payload):
             + struct.pack(f"<{len(dims)}I", *dims) + payload)
 
 
-@pytest.mark.parametrize("count,entries", [
+_MALFORMED = pytest.mark.parametrize("count,entries", [
     (5, _entry(b"x", (2,), b"\0" * 8)),
     (1, struct.pack("<H", 1) + b"x" + struct.pack("<BI", 3, 2)),
     (1, _entry(b"\xff\xfe", (), b"\0" * 4)),
@@ -190,6 +206,9 @@ def _entry(name, dims, payload):
     (1, _entry(b"x", (2**32 - 1, 2**32 - 1), b"")),
 ], ids=["count_overrun", "truncated_dims", "bad_utf8_name", "payload_overrun",
         "element_count_overflow"])
+
+
+@_MALFORMED
 def test_checkpoint_malformed_entries_raise_format_error(tmp_path, count, entries):
     path = str(tmp_path / "forged.pmxc")
     _forge(path, count, entries)
@@ -201,6 +220,59 @@ def test_checkpoint_forged_valid_entry_reads(tmp_path):
     path = str(tmp_path / "forged.pmxc")
     _forge(path, 1, _entry(b"x", (2,), struct.pack("<2f", 1.5, -2.0)))
     assert read_checkpoint(path)["x"].tolist() == [1.5, -2.0]
+
+
+@_MALFORMED
+def test_checkpoint_v2_malformed_entries_raise_format_error(tmp_path, count, entries):
+    path = str(tmp_path / "forged.pmxc")
+    _forge(path, count, entries, 2, zlib.crc32)
+    with pytest.raises(FormatError):
+        read_checkpoint(path)
+
+
+def test_checkpoint_v2_forged_valid_entry_reads(tmp_path):
+    path = str(tmp_path / "forged.pmxc")
+    _forge(path, 1, _entry(b"x", (2,), struct.pack("<2f", 1.5, -2.0)), 2, zlib.crc32)
+    assert read_checkpoint(path)["x"].tolist() == [1.5, -2.0]
+
+
+@pytest.mark.parametrize("version", [0, 3])
+def test_checkpoint_unknown_version_rejected(tmp_path, version):
+    path = str(tmp_path / "forged.pmxc")
+    _forge(path, 1, _entry(b"x", (2,), b"\0" * 8), version, zlib.crc32)
+    with pytest.raises(FormatError, match="unsupported version"):
+        read_checkpoint(path)
+
+
+def test_checkpoint_v2_golden_bytes(tmp_path):
+    tensors = {"b": np.array([1.5, -2.0], dtype=np.float32), "a": np.float32(0.25)}
+    body = (CHECKPOINT_MAGIC + struct.pack("<II", 2, 2)
+            + _entry(b"a", (), struct.pack("<f", 0.25))
+            + _entry(b"b", (2,), struct.pack("<2f", 1.5, -2.0)))
+    p1, p2 = str(tmp_path / "1.pmxc"), str(tmp_path / "2.pmxc")
+    write_checkpoint(p1, tensors)
+    write_checkpoint(p2, dict(reversed(list(tensors.items()))))
+    blob = open(p1, "rb").read()
+    assert blob[:4] == CHECKPOINT_MAGIC
+    assert struct.unpack_from("<II", blob, 4) == (2, 2)
+    assert blob == body + struct.pack("<Q", zlib.crc32(body))
+    assert zlib.crc32(body) == 0x755978F8
+    assert open(p2, "rb").read() == blob
+
+
+def test_checkpoint_v2_every_bit_flip_raises(tmp_path):
+    path = str(tmp_path / "m.pmxc")
+    write_checkpoint(path, {"v": np.array([1.5, -2.0], dtype=np.float32),
+                            "s": np.float32(3.0)})
+    blob = open(path, "rb").read()
+    for off in range(len(blob)):
+        for bit in range(8):
+            bad = bytearray(blob)
+            bad[off] ^= 1 << bit
+            with open(path, "wb") as fh:
+                fh.write(bad)
+            with pytest.raises(CorruptionError if off >= 8 else FormatError):
+                read_checkpoint(path)
 
 
 def test_fnv1a64_reference_values():

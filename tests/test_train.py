@@ -225,7 +225,7 @@ def test_short_depth_training_reduces_loss(tiny_split):
 def test_divergence_is_reported(tiny_split):
     samples, _ = tiny_split
     cfg = TrainConfig(task="seg", steps=50, batch=4, lr=1e5, clip_norm=0.0)
-    with pytest.raises(TrainingDiverged):
+    with pytest.raises(TrainingDiverged, match="grad norm"):
         train(samples, cfg)
 
 
