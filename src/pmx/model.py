@@ -240,6 +240,34 @@ def config_from_meta(tensors: Dict[str, np.ndarray]) -> ModelConfig:
     return cfg
 
 
+def _check_dims(cfg: ModelConfig, tensors: Dict[str, np.ndarray]) -> None:
+    """Compare each ``meta/`` dimension with the entries that carry it, so
+    that a forged dimension fails before any weight is drawn and a load
+    allocates no more than the checkpoint's own entries imply."""
+    w0, w1, w2 = cfg.widths
+    want = {
+        "enc/stem1.w": (w0, 3, 3, 3),
+        "enc/stage1.c1.w": (w1, w0, 3, 3),
+        "enc/stage2.c1.w": (w2, w1, 3, 3),
+        "enc/out.w": (cfg.d, w2, 3, 3),
+    }
+    blocks = 0
+    if cfg.head == "cluster":
+        want["dec/queries"] = (cfg.k, cfg.d)
+        blocks = cfg.n_dec
+    elif cfg.task == "seg":
+        want["head/baseline.fc.w"] = (cfg.d, cfg.classes)
+    for name, shape in want.items():
+        if name not in tensors:
+            raise ContractError(f"checkpoint missing parameter {name}")
+        if tensors[name].shape != shape:
+            raise ContractError(
+                f"{name}: checkpoint shape {tensors[name].shape} vs meta/ {shape}")
+    found = {n.split(".")[0] for n in tensors if n.startswith("dec/block")}
+    if found != {f"dec/block{i}" for i in range(blocks)}:
+        raise ContractError(f"checkpoint holds {len(found)} decoder blocks, meta/ implies {blocks}")
+
+
 def save_model(path: str, model: Model, opt_state: Dict[str, np.ndarray] = None) -> None:
     tensors: Dict[str, np.ndarray] = {n: p.data for n, p in model.params().items()}
     tensors.update(_meta_tensors(model.cfg))
@@ -253,6 +281,7 @@ def load_model(path: str) -> Tuple[Model, Dict[str, np.ndarray]]:
     """Rebuild a model from a checkpoint; returns it plus any opt/ state."""
     tensors = formats.read_checkpoint(path)
     cfg = config_from_meta(tensors)
+    _check_dims(cfg, tensors)
     model = Model(cfg, seed=0)
     model.load_state(tensors)
     opt = {n[4:]: a for n, a in tensors.items() if n.startswith("opt/")}

@@ -78,11 +78,13 @@ class SplitMix64:
         pairs = (n + 1) // 2
         u = self.floats(2 * pairs)
         # 1-u1 lies in (0, 1], keeping the log argument strictly positive
-        r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+        r = np.log1p(-u[0::2])
+        r *= -2.0
+        np.sqrt(r, out=r)
         theta = 2.0 * math.pi * u[1::2]
         out = np.empty(2 * pairs, dtype=np.float64)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
+        np.multiply(r, np.cos(theta), out=out[0::2])
+        np.multiply(r, np.sin(theta), out=out[1::2])
         return out[:n]
 
     def shuffle(self, items) -> None:

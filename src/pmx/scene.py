@@ -11,6 +11,14 @@ clamped to [d_min, d_max]), and the camera-frame surface normal oriented so
 n . ray < 0.  The image is Lambertian shading over a per-class albedo with
 fixed light direction plus Gaussian pixel noise.
 
+Casting works on whole images.  The rays of each image size are built
+once and kept read-only, both as ``(h, w, 3)`` directions and as three
+``(h, w)`` x/y/z planes, so every intersection is elementwise arithmetic on
+planes.  A running z-buffer then visits the hits in a fixed order (wall,
+floor, spheres, boxes) and lets a hit take a pixel only when its t is
+strictly smaller than the best so far.  Of equal hits the first in that
+order wins, so a box face lying in the wall plane stays wall.
+
 Everything is a pure function of (seed, index, config), so any sample can
 be regenerated alone, in any order, bit-identically.
 """
@@ -19,7 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from functools import lru_cache
+from typing import List, Tuple
 
 import numpy as np
 
@@ -97,63 +106,6 @@ class Scene:
     boxes: List[Box] = field(default_factory=list)
 
 
-# ---- primitive intersections (scalar reference forms) -----------------------
-
-
-def ray_sphere(origin, direction, center, radius) -> Optional[Tuple[float, np.ndarray]]:
-    """Smallest t > 1e-6 with |o + t d - c| = r, and the outward normal
-    (hit - c)/r there.  None on a miss.  A ray starting inside returns the
-    exit hit, whose normal points along the ray."""
-    o = np.asarray(origin, dtype=np.float64)
-    d = np.asarray(direction, dtype=np.float64)
-    c = np.asarray(center, dtype=np.float64)
-    oc = o - c
-    b = 2.0 * float(d @ oc)
-    c0 = float(oc @ oc) - radius * radius
-    disc = b * b - 4.0 * c0
-    if disc < 0:
-        return None
-    sq = math.sqrt(disc)
-    for t in ((-b - sq) / 2.0, (-b + sq) / 2.0):
-        if t > _EPS_T:
-            hit = o + t * d
-            return t, (hit - c) / radius
-    return None
-
-
-def ray_box(origin, direction, box_min, box_max) -> Optional[Tuple[float, np.ndarray]]:
-    """Slab-method nearest hit with t > 1e-6; normal is the face normal of
-    the slab that bounds entry.  Equal entry times are broken in x, y, z
-    order.  A ray starting inside returns the exit face."""
-    o = np.asarray(origin, dtype=np.float64)
-    d = np.asarray(direction, dtype=np.float64)
-    bmin = np.asarray(box_min, dtype=np.float64)
-    bmax = np.asarray(box_max, dtype=np.float64)
-    t_near, t_far = -math.inf, math.inf
-    ax_near, ax_far = -1, -1
-    for a in range(3):
-        if abs(d[a]) < 1e-12:
-            if o[a] < bmin[a] or o[a] > bmax[a]:
-                return None
-            continue
-        t1 = (bmin[a] - o[a]) / d[a]
-        t2 = (bmax[a] - o[a]) / d[a]
-        lo, hi = (t1, t2) if t1 <= t2 else (t2, t1)
-        if lo > t_near:  # strict: the earliest axis keeps ties
-            t_near, ax_near = lo, a
-        if hi < t_far:
-            t_far, ax_far = hi, a
-    if t_near > t_far or t_far <= _EPS_T:
-        return None
-    if t_near > _EPS_T:
-        n = np.zeros(3)
-        n[ax_near] = -math.copysign(1.0, d[ax_near])
-        return t_near, n
-    n = np.zeros(3)
-    n[ax_far] = math.copysign(1.0, d[ax_far])
-    return t_far, n
-
-
 # ---- camera and vectorized casting -------------------------------------------
 
 
@@ -172,7 +124,23 @@ def camera_rays(h: int, w: int) -> np.ndarray:
     return dirs
 
 
-def _cast_sphere(dirs: np.ndarray, sph: Sphere) -> Tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=8)
+def _ray_planes(h: int, w: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only rays for one image size, built once: the ``(h, w, 3)``
+    directions, their ``(3, h, w)`` x/y/z planes, and the planes with
+    components below 1e-12 in magnitude replaced by 1e-12 (the box slab
+    divisors; the planes themselves unless a size is odd)."""
+    dirs = camera_rays(h, w)
+    planes = np.ascontiguousarray(dirs.transpose(2, 0, 1))
+    tiny = np.abs(planes) < 1e-12
+    slab = np.where(tiny, 1e-12, planes) if tiny.any() else planes
+    for arr in (dirs, planes, slab):
+        arr.flags.writeable = False
+    return dirs, planes, slab
+
+
+def _cast_sphere(dirs: np.ndarray, planes: np.ndarray, sph: Sphere):
+    """Nearest hit t (+inf on a miss) and the outward normal planes."""
     c, r = sph.center, sph.radius
     b = 2.0 * (dirs @ (-c))
     c0 = float(c @ c) - r * r
@@ -184,59 +152,54 @@ def _cast_sphere(dirs: np.ndarray, sph: Sphere) -> Tuple[np.ndarray, np.ndarray]
     t = np.where(t0 > _EPS_T, t0, np.where(t1 > _EPS_T, t1, np.inf))
     t = np.where(ok, t, np.inf)
     tn = np.where(np.isfinite(t), t, 1.0)
-    n = (tn[..., None] * dirs - c) / r
+    n = [(tn * planes[k] - c[k]) / r for k in range(3)]
     return t, n
 
 
-def _cast_box(dirs: np.ndarray, box: Box) -> Tuple[np.ndarray, np.ndarray]:
-    d = np.where(np.abs(dirs) < 1e-12, 1e-12, dirs)
-    t1 = box.bmin / d  # origin is 0
-    t2 = box.bmax / d
+def _cast_box(slab: np.ndarray, box: Box):
+    """Slab-method entry t (+inf on a miss) and the entry face's normal
+    planes; equal entry times go to the earlier axis, x then y then z."""
+    t1 = box.bmin[:, None, None] / slab  # origin is 0
+    t2 = box.bmax[:, None, None] / slab
     lo = np.minimum(t1, t2)
     hi = np.maximum(t1, t2)
-    t_near = lo.max(axis=-1)
-    t_far = hi.min(axis=-1)
-    axis = lo.argmax(axis=-1)  # first max keeps the x,y,z tie order
+    t_near = np.maximum(lo[0], lo[1])
+    axis = np.where(lo[1] > lo[0], 1, 0)
+    axis = np.where(lo[2] > t_near, 2, axis)
+    t_near = np.maximum(t_near, lo[2])
+    t_far = np.minimum(np.minimum(hi[0], hi[1]), hi[2])
     hit = (t_near <= t_far) & (t_near > _EPS_T)
     t = np.where(hit, t_near, np.inf)
-    n = np.zeros_like(dirs)
-    sgn = -np.sign(np.take_along_axis(d, axis[..., None], axis=-1))[..., 0]
-    np.put_along_axis(n, axis[..., None], sgn[..., None], axis=-1)
+    n = [np.where(axis == k, -np.sign(slab[k]), 0.0) for k in range(3)]
     return t, n
 
 
 def cast_scene(cfg: SceneConfig, scene: Scene, h: int, w: int):
     """Analytic ground truth for every pixel: labels, depth, normal."""
-    dirs = camera_rays(h, w)
-    ts = [cfg.d_max / dirs[:, :, 2]]  # back wall z = d_max, always hit
-    normals = [np.broadcast_to(np.array([0.0, 0.0, -1.0]), dirs.shape)]
-    classes = [0]
-    dy = dirs[:, :, 1]
+    dirs, planes, slab = _ray_planes(h, w)
+    dz = planes[2]
+    # the back wall z = d_max is always hit: the running z-buffer starts there
+    t_best = cfg.d_max / dz
+    n_best = (0.0, 0.0, -1.0)
+    labels = np.zeros((h, w), dtype=np.uint8)
     with np.errstate(divide="ignore"):
-        t_floor = np.where(dy < 0, -1.0 / dy, np.inf)
-    ts.append(t_floor)
-    normals.append(np.broadcast_to(np.array([0.0, 1.0, 0.0]), dirs.shape))
-    classes.append(1)
-    for sph in scene.spheres:
-        t, n = _cast_sphere(dirs, sph)
-        ts.append(t)
-        normals.append(n)
-        classes.append(2)
-    for box in scene.boxes:
-        t, n = _cast_box(dirs, box)
-        ts.append(t)
-        normals.append(n)
-        classes.append(3)
-    tstack = np.stack(ts)
-    winner = tstack.argmin(axis=0)
-    t_win = np.take_along_axis(tstack, winner[None], axis=0)[0]
-    nstack = np.stack(normals)
-    normal = np.take_along_axis(nstack, winner[None, :, :, None], axis=0)[0]
-    # orient toward the camera (exit hits of spheres face away)
-    facing = (normal * dirs).sum(axis=-1)
-    normal = np.where(facing[..., None] > 0, -normal, normal)
-    labels = np.asarray(classes, dtype=np.uint8)[winner]
-    depth = np.clip(t_win * dirs[:, :, 2], cfg.d_min, cfg.d_max)
+        t_floor = np.where(planes[1] < 0, -1.0 / planes[1], np.inf)
+    hits = [(1, t_floor, (0.0, 1.0, 0.0))]
+    hits += [(2, *_cast_sphere(dirs, planes, sph)) for sph in scene.spheres]
+    hits += [(3, *_cast_box(slab, box)) for box in scene.boxes]
+    for cls, t, n in hits:
+        closer = t < t_best  # strict: of equal hits, the first keeps the pixel
+        t_best = np.where(closer, t, t_best)
+        n_best = [np.where(closer, nk, bk) for nk, bk in zip(n, n_best)]
+        labels[closer] = cls
+    # orient toward the camera (exit hits of spheres face away); the dot
+    # product sums x, y, z left to right, as numpy's sum over that axis does
+    facing = (n_best[0] * planes[0] + n_best[1] * planes[1]) + n_best[2] * planes[2]
+    flip = facing > 0
+    normal = np.empty((h, w, 3))
+    for k, nk in enumerate(n_best):
+        normal[:, :, k] = np.where(flip, -nk, nk)
+    depth = np.clip(t_best * dz, cfg.d_min, cfg.d_max)
     return labels, depth, normal
 
 

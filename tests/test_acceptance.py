@@ -28,6 +28,8 @@ from pmx.scene import SceneConfig, generate_split
 from pmx.tensor import Tensor, bias_add, one_hot
 from pmx.train import TrainConfig, ablate_k, evaluate, train
 
+pytestmark = pytest.mark.slow
+
 TRAIN_STEPS = 350          # <= 5000 budget; margins measured at this depth
 SEEDS = (0, 1, 2)
 

@@ -177,6 +177,16 @@ def test_eval_malformed_meta_count_is_one_line_runtime_error(data, depth_ckpt, t
     assert _single_line_error(capsys)
 
 
+def test_eval_forged_meta_widths_is_one_line_runtime_error(data, depth_ckpt, tmp_path, capsys):
+    # checksum-valid; the entries still hold the (32, 64, 64) encoder
+    tensors = read_checkpoint(depth_ckpt)
+    tensors["meta/widths"] = np.asarray([32, 64, 4096], dtype=np.float32)
+    path = str(tmp_path / "forged_widths.pmxc")
+    write_checkpoint(path, tensors)
+    assert main(["eval", "--task", "depth", "--data", data, "--ckpt", path]) == 1
+    assert _single_line_error(capsys)
+
+
 @pytest.mark.parametrize("command", ["train", "ablate-k", "compare-baseline"])
 @pytest.mark.parametrize("flags", [
     ["--steps", "0"], ["--batch", "0"], ["--k", "0"], ["--lr", "nan"],

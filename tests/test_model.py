@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pmx.errors import ContractError
-from pmx.formats import write_checkpoint
+from pmx.formats import read_checkpoint, write_checkpoint
 from pmx.model import (Model, ModelConfig, config_from_meta, load_model,
                        save_model)
 from pmx.tensor import Tensor
@@ -185,3 +185,31 @@ def test_config_from_meta_rejects_bad_depth_range(drange):
 def test_config_rejects_bad_sizes_and_depth_range(bad):
     with pytest.raises(ContractError):
         bad.validate()
+
+
+@pytest.mark.parametrize("task,head,key,value", [
+    ("depth", "cluster", "meta/widths", [32, 64, 4096]),
+    ("depth", "cluster", "meta/widths", [16, 64, 64]),
+    ("depth", "cluster", "meta/widths", [32, 48, 64]),
+    ("depth", "cluster", "meta/d", 4096),
+    ("depth", "cluster", "meta/k", 4096),
+    ("depth", "cluster", "meta/n_dec", 64),
+    ("depth", "cluster", "meta/n_dec", 1),
+    ("seg", "baseline", "meta/classes", 10**6),
+    ("normal", "baseline", "meta/d", 4096),
+])
+def test_forged_meta_dimension_fails_before_any_model_is_built(tmp_path, monkeypatch,
+                                                                task, head, key, value):
+    import pmx.model as model_mod
+    path = str(tmp_path / "forged.pmxc")
+    save_model(path, Model(ModelConfig(task=task, head=head), seed=0))
+    tensors = read_checkpoint(path)
+    tensors[key] = np.asarray(value, dtype=np.float32)
+    write_checkpoint(path, tensors)
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("a Model was built from forged metadata")
+
+    monkeypatch.setattr(model_mod, "Model", no_model)
+    with pytest.raises(ContractError):
+        load_model(path)

@@ -1,9 +1,12 @@
 """Ray-cast scenes: intersection oracles, ground-truth invariants, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from pmx.errors import ContractError
+from pmx.rng import SplitMix64, mix_seed_index
 from pmx.scene import (
     ALBEDO,
     CLASS_NAMES,
@@ -16,9 +19,9 @@ from pmx.scene import (
     cast_scene,
     generate_sample,
     generate_split,
-    ray_box,
-    ray_sphere,
+    sample_scene,
 )
+from scene_oracles import ray_box, ray_sphere
 
 
 # ---- closed-form intersections ------------------------------------------------
@@ -135,6 +138,107 @@ def test_box_in_front_of_wall_wins_depth_race():
     np.testing.assert_allclose(normal[mid, mid], [0, 0, -1], atol=1e-9)
 
 
+def _cast_pixel(cfg, scene, d):
+    """One ray through the scalar oracles: (label, depth, normal facing the
+    camera, grazing).  ``grazing`` marks a ray whose sphere discriminant or
+    box slab gap t_far - t_near is within 1e-9 of zero, where one ulp of a
+    3-term dot product can flip the hit."""
+    hits = [(cfg.d_max / d[2], np.array([0.0, 0.0, -1.0]), 0)]
+    if d[1] < 0:
+        hits.append((-1.0 / d[1], np.array([0.0, 1.0, 0.0]), 1))
+    grazing = False
+    for sph in scene.spheres:
+        b = 2.0 * float(d @ -sph.center)
+        disc = b * b - 4.0 * (float(sph.center @ sph.center) - sph.radius ** 2)
+        grazing |= abs(disc) < 1e-9
+        hit = ray_sphere((0, 0, 0), d, sph.center, sph.radius)
+        if hit is not None:
+            hits.append((*hit, 2))
+    for box in scene.boxes:
+        t1, t2 = box.bmin / d, box.bmax / d
+        grazing |= abs(np.maximum(t1, t2).min() - np.minimum(t1, t2).max()) < 1e-9
+        hit = ray_box((0, 0, 0), d, box.bmin, box.bmax)
+        if hit is not None:
+            hits.append((*hit, 3))
+    t, n, label = min(hits, key=lambda hit: hit[0])  # the first of equal minima
+    if n @ d > 0:
+        n = -n
+    return label, np.clip(t * d[2], cfg.d_min, cfg.d_max), n, grazing
+
+
+def _assert_matches_oracles(cfg, scene, h, w):
+    """Every pixel of ``cast_scene`` against the scalar oracles; returns the
+    number of grazing pixels skipped."""
+    labels, depth, normal = cast_scene(cfg, scene, h, w)
+    assert labels.shape == depth.shape == (h, w) and normal.shape == (h, w, 3)
+    rays = camera_rays(h, w)
+    skipped = 0
+    for i in range(h):
+        for j in range(w):
+            label, z, n, grazing = _cast_pixel(cfg, scene, rays[i, j])
+            if grazing:
+                skipped += 1
+                continue
+            assert labels[i, j] == label, (i, j)
+            assert abs(depth[i, j] - z) <= 1e-6 * z, (i, j)
+            np.testing.assert_allclose(normal[i, j], n, rtol=0, atol=1e-6)
+    return skipped
+
+
+@pytest.mark.parametrize("seed,index,h,w", [(0, 0, 32, 32), (1, 4, 32, 40),
+                                            (2, 5, 40, 32), (1, 0, 32, 32)])
+def test_cast_scene_matches_scalar_oracles_at_every_pixel(seed, index, h, w):
+    cfg = SceneConfig()
+    scene = sample_scene(SplitMix64(mix_seed_index(seed, index)), cfg)
+    assert scene.spheres and scene.boxes
+    skipped = _assert_matches_oracles(cfg, scene, h, w)
+    assert skipped <= 2, f"{skipped} grazing pixels skipped"
+
+
+def test_camera_inside_sphere_sees_exit_hits_facing_the_camera():
+    cfg = SceneConfig()
+    scene = Scene(spheres=[Sphere(center=np.array([0.1, 0.05, 0.3]), radius=1.0)])
+    assert _assert_matches_oracles(cfg, scene, 16, 16) == 0
+    labels, _, normal = cast_scene(cfg, scene, 16, 16)
+    assert (labels == 2).all()
+    assert ((normal * camera_rays(16, 16)).sum(axis=-1) < 0).all()
+
+
+def test_box_entry_ties_go_to_x_then_y_then_z():
+    # pixel (27, 36) of a 64x64 image looks along d with d_x == d_y exactly;
+    # a box whose min corner lies on that ray is entered through x, y and z at
+    # once (or x and y), and the x face takes the pixel, as in ray_box
+    cfg = SceneConfig()
+    i, j = 27, 36
+    d = camera_rays(64, 64)[i, j]
+    assert d[0] == d[1]
+    a = 0.3
+    for zmin in (a / d[0] * d[2], 2.0):
+        bmin = np.array([a, a, zmin])
+        bmax = bmin + np.array([1.0, 1.0, 5.0])
+        labels, _, normal = cast_scene(cfg, Scene(boxes=[Box(bmin, bmax)]), 64, 64)
+        assert labels[i, j] == 3
+        assert normal[i, j].tolist() == [-1.0, 0.0, 0.0]
+        assert ray_box((0, 0, 0), d, bmin, bmax)[1].tolist() == [-1.0, 0.0, 0.0]
+
+
+def test_box_face_in_wall_plane_keeps_wall_label():
+    # the box's front face and the wall give every such ray the same t, and
+    # the wall, visited first, keeps the pixel; a millimetre forward, the box wins
+    cfg = SceneConfig()
+    n = cfg.size
+
+    def box_at(front):
+        return Scene(boxes=[Box(np.array([-1.0, -0.5, front]), np.array([1.0, 0.5, front + 1.0]))])
+
+    empty = cast_scene(cfg, Scene(), n, n)
+    tied = cast_scene(cfg, box_at(cfg.d_max), n, n)
+    for a, b in zip(empty, tied):
+        assert np.array_equal(a, b)
+    ahead = cast_scene(cfg, box_at(cfg.d_max - 1e-3), n, n)[0]
+    assert (ahead == 3).sum() > 50
+
+
 def test_generated_samples_satisfy_invariants():
     cfg = SceneConfig()
     for s in generate_split(seed=3, count=100, cfg=cfg):
@@ -177,6 +281,42 @@ def test_sample_regeneration_is_bit_identical():
     b = generate_sample(seed=9, index=4, cfg=cfg)
     for field in ("image", "labels", "depth", "normal"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+# (seed, index, config) -> the first 16 hex digits of the sha256 of the bytes
+# of image, labels, depth and normal: any change to what the generator writes
+# fails here.  Sizes 16-128, a noise-free config, and scenes with spheres and
+# boxes together (0/0, 1/4, 2/5), boxes only (2/3, 0/7) and a sphere only (0/2).
+_GOLDEN = [
+    (0, 0, SceneConfig(size=16),
+     ("170ade5546b165c5", "45183e8e0f7db6fd", "12e02a8671f1855b", "bd49d5284a49412b")),
+    (2, 3, SceneConfig(size=16),
+     ("9fee4ae3b19b1537", "d472c2596ffea2c6", "756e5359c4a55901", "5caf121a3e0b1191")),
+    (0, 7, SceneConfig(size=32),
+     ("b23db3d78152e9cd", "29ecd27f43765517", "67435038c0c16a1d", "64a8cc89b744bfe4")),
+    (1, 4, SceneConfig(size=64),
+     ("301630bbfb0a64ef", "4c37c8d402009f7b", "471f9af1bd40f06d", "30c8c6ebf51d754e")),
+    (0, 2, SceneConfig(size=64),
+     ("e18906c694602440", "3277aa6b306ef139", "7cfbf911947059b2", "89c7c9b1f7212e96")),
+    (1, 0, SceneConfig(size=64, noise_std=0.0),
+     ("ab36bb09a8a60f32", "c69381073abff839", "754a173bcabae79e", "daafdbfa56a0618c")),
+    (2, 5, SceneConfig(size=128),
+     ("50e0d112cdfe641a", "3bdf2c3eea2f6465", "bf48c1806cf25384", "38824ba69dcaf894")),
+]
+
+
+def test_generated_bytes_golden():
+    fields = ("image", "labels", "depth", "normal")
+    dtypes = (np.float32, np.uint8, np.float32, np.float32)
+    for seed, index, cfg, want in _GOLDEN:
+        s = generate_sample(seed, index, cfg)
+        n = cfg.size
+        for name, dtype, digest in zip(fields, dtypes, want):
+            arr = getattr(s, name)
+            assert arr.dtype == dtype
+            assert arr.shape == ((n, n, 3) if name in ("image", "normal") else (n, n))
+            got = hashlib.sha256(arr.tobytes()).hexdigest()[:16]
+            assert got == digest, f"seed {seed} index {index} size {n} {name}"
 
 
 def test_split_sample_matches_lone_regeneration():
