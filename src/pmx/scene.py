@@ -158,7 +158,9 @@ def _cast_sphere(dirs: np.ndarray, planes: np.ndarray, sph: Sphere):
 
 def _cast_box(slab: np.ndarray, box: Box):
     """Slab-method entry t (+inf on a miss) and the entry face's normal
-    planes; equal entry times go to the earlier axis, x then y then z."""
+    planes; equal entry times go to the earlier axis, x then y then z.  A
+    box that contains the camera gives its exit t instead, with the normal
+    +sign(d) of the earliest axis that bounds the exit."""
     t1 = box.bmin[:, None, None] / slab  # origin is 0
     t2 = box.bmax[:, None, None] / slab
     lo = np.minimum(t1, t2)
@@ -167,10 +169,16 @@ def _cast_box(slab: np.ndarray, box: Box):
     axis = np.where(lo[1] > lo[0], 1, 0)
     axis = np.where(lo[2] > t_near, 2, axis)
     t_near = np.maximum(t_near, lo[2])
-    t_far = np.minimum(np.minimum(hi[0], hi[1]), hi[2])
-    hit = (t_near <= t_far) & (t_near > _EPS_T)
-    t = np.where(hit, t_near, np.inf)
-    n = [np.where(axis == k, -np.sign(slab[k]), 0.0) for k in range(3)]
+    t_far = np.minimum(hi[0], hi[1])
+    far_axis = np.where(hi[1] < hi[0], 1, 0)
+    far_axis = np.where(hi[2] < t_far, 2, far_axis)
+    t_far = np.minimum(t_far, hi[2])
+    enter = t_near > _EPS_T
+    hit = (t_near <= t_far) & (t_far > _EPS_T)
+    t = np.where(hit, np.where(enter, t_near, t_far), np.inf)
+    axis = np.where(enter, axis, far_axis)
+    sign = np.where(enter, -1.0, 1.0)
+    n = [np.where(axis == k, sign * np.sign(slab[k]), 0.0) for k in range(3)]
     return t, n
 
 

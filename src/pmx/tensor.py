@@ -9,12 +9,14 @@ Calling ``backward()`` on a scalar loss runs the closures in reverse
 topological order, accumulating into ``.grad`` additively.
 
 The op set is deliberately closed: elementwise arithmetic, matmul (2D, batched
-3D, and 3D @ 2D), NCHW 3x3 convolution at stride 1 or 2 with padding 1 (a
-(B, Cin*9, Ho*Wo) im2col and one batched gemm, no transposes), softmax,
-layer norm over the last axis, bilinear 2x upsampling, reductions, and a small
-set of shape/indexing ops.  There is no general broadcasting; the only
-sanctioned broadcast is the trailing bias add in ``bias_add`` and the explicit
-``expand_axis`` / ``expand_leading`` repeats, whose backward is a sum.
+3D, and 3D @ 2D), NCHW 3x3 convolution at stride 1 or 2 with padding 1 (the
+padded input held as flat polyphase planes, so that each im2col and col2im
+tap is one contiguous slice, and one batched gemm on an output grid a column
+or two wider than the image), softmax, layer norm over the last axis,
+bilinear 2x upsampling, reductions, and a small set of shape/indexing ops.
+There is no general broadcasting; the only sanctioned broadcast is the
+trailing bias add in ``bias_add`` and the explicit ``expand_axis`` /
+``expand_leading`` repeats, whose backward is a sum.
 
 Integer payloads (class labels, gather indices) stay plain numpy arrays and
 never enter the graph.
@@ -343,14 +345,19 @@ class Tensor:
     # ---- spatial ops ---------------------------------------------------------
 
     def conv2d(self, weight: "Tensor", bias: Optional["Tensor"] = None, stride: int = 1) -> "Tensor":
-        """3x3 convolution with padding 1 at stride 1 or 2, NCHW layout.
+        """3x3 convolution with padding 1 at stride s = 1 or 2, NCHW layout.
 
-        Forward copies the nine strided taps of the padded input into one
-        im2col buffer laid out (B, Cin*9, Ho*Wo) and runs one batched gemm
-        W (Cout, Cin*9) @ cols, whose (B, Cout, Ho*Wo) result is already
-        NCHW.  Backward views g as (B, Cout, Ho*Wo) and runs the transposed
-        gemms; col2im adds each tap's (B, Cin, Ho, Wo) plane back through the
-        same nine slices of a padded gradient image.
+        The zero-padded input is stored as its s² polyphase planes, each a
+        flat (hq, wq) grid with hq, wq = ho + 2//s, wo + 2//s plus two floats
+        of slack.  Tap (i, j) of every output pixel is then one contiguous run
+        of ho*wq floats: plane (i%s)*s + j%s from offset (i//s)*wq + j//s.  The
+        run covers a "wide" (ho, wq) output grid whose last wq - wo columns
+        wrap into the next row.  Forward copies the nine runs into cols
+        (B, Cin*9, ho*wq), runs one batched gemm W (Cout, Cin*9) @ cols and
+        crops the wide result to (B, Cout, ho, wo).  Backward widens g with
+        zero columns, so the wrapped columns add exactly 0 to dW and dx;
+        col2im adds the nine runs of Wᵀg back into the planes, and s² strided
+        copies gather dx from them.
         """
         if stride not in (1, 2):
             raise ShapeError(f"conv2d stride must be 1 or 2, got {stride}")
@@ -364,34 +371,56 @@ class Tensor:
         if bias is not None and bias.shape != (cout,):
             raise ShapeError(f"conv2d bias shape {bias.shape} for {cout} filters")
         ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
-        # tap (i, j) of every output pixel, as one strided slice of the padded image
-        taps = [(i, j, (slice(None), slice(None), slice(i, i + stride * (ho - 1) + 1, stride),
-                        slice(j, j + stride * (wo - 1) + 1, stride)))
+        hq, wq = ho + 2 // stride, wo + 2 // stride
+        n = ho * wq
+        planes = (bsz, cin, stride * stride, hq * wq + 2)
+
+        def span(phase, size):
+            # x index k is padded index k + 1: along an axis, one phase holds
+            # x[k0::s], at plane indices from (k0 + 1) // s
+            k0 = (phase - 1) % stride
+            q0 = (k0 + 1) // stride
+            return slice(k0, None, stride), slice(q0, q0 + len(range(k0, size, stride)))
+        phases = [(p, span(p // stride, h), span(p % stride, wd)) for p in range(stride * stride)]
+        taps = [((i % stride) * stride + j % stride, (i // stride) * wq + j // stride)
                 for i in range(3) for j in range(3)]
-        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        cols6 = np.empty((bsz, cin, 3, 3, ho, wo), dtype=xp.dtype)
-        for i, j, tap in taps:
-            cols6[:, :, i, j] = xp[tap]
-        cols = cols6.reshape(bsz, cin * 9, ho * wo)
+
+        def grid(buf):
+            return buf[..., :hq * wq].reshape(bsz, cin, stride * stride, hq, wq)
+        xq = np.zeros(planes, dtype=x.dtype)
+        xgrid = grid(xq)
+        for p, (xr, qr), (xc, qc) in phases:
+            xgrid[:, :, p, qr, qc] = x[:, :, xr, xc]
+        cols = np.empty((bsz, cin, 9, n), dtype=x.dtype)
+        for t, (p, off) in enumerate(taps):
+            cols[:, :, t] = xq[:, :, p, off:off + n]
+        del xq, xgrid  # the backward closure keeps only cols and wmat
+        cols = cols.reshape(bsz, cin * 9, n)
         wmat = w.reshape(cout, cin * 9)
-        y = wmat @ cols
+        y = np.ascontiguousarray((wmat @ cols).reshape(bsz, cout, ho, wq)[..., :wo])
         if bias is not None:
-            y += bias.data[:, None]
+            y += bias.data[:, None, None]
 
         def back(g):
-            g3 = g.reshape(bsz, cout, ho * wo)
             if bias is not None and bias.requires_grad:
-                bias._accum(g3.sum(axis=(0, 2)))
+                bias._accum(g.reshape(bsz, cout, ho * wo).sum(axis=(0, 2)))
+            gw = np.zeros((bsz, cout, ho, wq), dtype=g.dtype)
+            gw[..., :wo] = g
+            g3 = gw.reshape(bsz, cout, n)
             if weight.requires_grad:
                 weight._accum((g3 @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(cout, cin, 3, 3))
             if self.requires_grad:
-                dcols = (wmat.T @ g3).reshape(bsz, cin, 3, 3, ho, wo)
-                dxp = np.zeros((bsz, cin, h + 2, wd + 2), dtype=dcols.dtype)
-                for i, j, tap in taps:
-                    dxp[tap] += dcols[:, :, i, j]
-                self._accum(dxp[:, :, 1:1 + h, 1:1 + wd])
+                dcols = (wmat.T @ g3).reshape(bsz, cin, 9, n)
+                dxq = np.zeros(planes, dtype=dcols.dtype)
+                for t, (p, off) in enumerate(taps):
+                    dxq[:, :, p, off:off + n] += dcols[:, :, t]
+                dgrid = grid(dxq)
+                dx = np.empty_like(x)
+                for p, (xr, qr), (xc, qc) in phases:
+                    dx[:, :, xr, xc] = dgrid[:, :, p, qr, qc]
+                self._accum(dx)
         parents = (self, weight) if bias is None else (self, weight, bias)
-        return _result(y.reshape(bsz, cout, ho, wo), parents, back)
+        return _result(y, parents, back)
 
     def bilinear_upsample2x(self) -> "Tensor":
         """Double H and W of an NCHW tensor with align_corners=False bilinear

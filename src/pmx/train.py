@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -247,8 +247,12 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, classes: int = 4,
         raise ContractError("training needs a nonempty dataset")
     if resume_from is not None:
         model, opt_state = load_model(resume_from)
-        if model.cfg.task != cfg.task:
-            raise ContractError(f"resume checkpoint is for task {model.cfg.task!r}")
+        # the checkpoint holds its depth range in float32
+        want = model_config(cfg, classes, float(np.float32(d_min)), float(np.float32(d_max)))
+        diff = [f"{f.name} {getattr(model.cfg, f.name)!r} (this run: {getattr(want, f.name)!r})"
+                for f in fields(ModelConfig) if getattr(model.cfg, f.name) != getattr(want, f.name)]
+        if diff:
+            raise ContractError("resume checkpoint is a different model: " + ", ".join(diff))
     else:
         model = Model(model_config(cfg, classes, d_min, d_max), seed=cfg.seed)
         opt_state = None

@@ -100,6 +100,26 @@ def test_train_zero_size_dataset_is_one_line_runtime_error(tmp_path, capsys):
     assert _single_line_error(capsys)
 
 
+def test_train_resume_of_a_different_model_is_one_line_runtime_error(data, depth_ckpt,
+                                                                     tmp_path, capsys):
+    out = tmp_path / "m.pmxc"
+    assert main(["train", "--task", "depth", "--data", data, "--steps", "3", "--batch", "4",
+                 "--k", "8", "--variant", "standard", "--head", "baseline",
+                 "--resume", depth_ckpt, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    for name in ("k 4", "variant 'kmeans'", "head 'cluster'"):
+        assert name in err
+    assert not out.exists()
+
+
+def test_train_resume_of_the_same_model_continues(data, depth_ckpt, tmp_path):
+    out = tmp_path / "m.pmxc"
+    assert main(["train", "--task", "depth", "--data", data, "--steps", "3", "--batch", "4",
+                 "--resume", depth_ckpt, "--out", str(out)]) == 0
+    assert out.exists()
+
+
 def test_eval_prints_report_json(data, depth_ckpt, capsys, tmp_path):
     report_path = str(tmp_path / "report.json")
     code = main(["eval", "--task", "depth", "--data", data,

@@ -204,6 +204,18 @@ def test_camera_inside_sphere_sees_exit_hits_facing_the_camera():
     assert ((normal * camera_rays(16, 16)).sum(axis=-1) < 0).all()
 
 
+@pytest.mark.parametrize("zmax", [0.5, 50.0])
+def test_camera_inside_box_sees_exit_faces_facing_the_camera(zmax):
+    # zmax 0.5: every ray leaves through the z face; zmax 50: through the x
+    # and y faces (diagonal ties go to x), or the wall is nearer
+    cfg = SceneConfig()
+    scene = Scene(boxes=[Box(np.array([-0.5, -0.5, -0.5]), np.array([0.5, 0.5, zmax]))])
+    assert _assert_matches_oracles(cfg, scene, 16, 16) == 0
+    labels, _, normal = cast_scene(cfg, scene, 16, 16)
+    assert (labels == 3).sum() >= 16 * 16 // 2
+    assert ((normal * camera_rays(16, 16)).sum(axis=-1) < 0).all()
+
+
 def test_box_entry_ties_go_to_x_then_y_then_z():
     # pixel (27, 36) of a 64x64 image looks along d with d_x == d_y exactly;
     # a box whose min corner lies on that ray is entered through x, y and z at

@@ -175,9 +175,29 @@ def test_conv2d_float64_vjp_matches_loop(stride):
         np.testing.assert_allclose(got, want, rtol=F64_TOL, atol=F64_TOL)
 
 
-@pytest.mark.parametrize("cin,cout,size,stride", [(3, 32, 64, 2), (64, 64, 16, 1)])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("cin,cout", [(1, 1), (1, 3), (3, 1), (3, 3)])
+def test_conv2d_float64_sweep_matches_loop(stride, cin, cout):
+    # tiny and non-square images leave phase planes with empty rows or columns
+    sizes = (1, 2, 3, 5, 8)
+    for h in sizes:
+        for w in sizes:
+            x, wt, b, g = _conv_case(100 + 10 * h + w, 2, cin, cout, h, w, stride)
+            with precision.verify():
+                y, dx, dw, db = _run_conv(x, wt, b, g, stride)
+            xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+            want = (_conv_loop(xp, wt, b, stride, *g.shape[2:]),
+                    *_conv_loop_vjp(xp, wt, g, stride))
+            for got, ref in zip((y, dx, dw, db), want):
+                assert got.shape == ref.shape, (h, w)
+                np.testing.assert_allclose(got, ref, rtol=F64_TOL, atol=F64_TOL, err_msg=f"{h}x{w}")
+
+
+@pytest.mark.parametrize("cin,cout,size,stride",
+                         [(3, 32, 64, 2), (32, 32, 32, 2), (64, 64, 16, 1), (64, 64, 8, 1)])
 def test_conv2d_float32_within_rounding_bound_of_float64(cin, cout, size, stride):
-    # encoder shapes: the stem's first conv and a stride-8 residual conv, batch 8
+    # encoder shapes at batch 8: the two stem convs, a refine conv, and a
+    # stage-2 conv, whose wide grid (8 x 10) adds the most columns
     x, wt, b, g = (a.astype(np.float32) for a in _conv_case(90, 8, cin, cout, size, size, stride))
     y32, dx32, dw32, db32 = _run_conv(x, wt, b, g, stride)
     assert y32.dtype == np.float32
@@ -195,6 +215,14 @@ def test_conv2d_float32_within_rounding_bound_of_float64(cin, cout, size, stride
     )
     for got, want, bound in bounds:
         assert np.all(np.abs(got - want) <= bound)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_repeated_call_is_bit_identical(stride):
+    x, wt, b, g = (a.astype(np.float32) for a in _conv_case(95, 4, 8, 16, 12, 10, stride))
+    first, second = _run_conv(x, wt, b, g, stride), _run_conv(x, wt, b, g, stride)
+    for a, c in zip(first, second):
+        assert a.dtype == np.float32 and np.array_equal(a, c)
 
 
 def test_avg_pool_2x_means_blocks():

@@ -213,6 +213,36 @@ def test_resume_task_mismatch_raises(tiny_split, tmp_path):
         train(samples, TrainConfig(task="depth", steps=4, batch=4), resume_from=ckpt)
 
 
+@pytest.mark.parametrize("change,named", [
+    (dict(cfg=dict(k=8)), ["k 4"]),
+    (dict(cfg=dict(variant="standard", head="baseline")), ["variant", "head"]),
+    (dict(classes=5), ["classes 4"]),
+    (dict(d_min=0.25, d_max=12.0), ["d_min 0.5", "d_max 10.0"]),
+])
+def test_resume_refuses_a_different_model(tiny_split, tmp_path, change, named):
+    samples, _ = tiny_split
+    ckpt = str(tmp_path / "depth.ckpt")
+    train(samples, TrainConfig(task="depth", steps=2, batch=4), out_path=ckpt)
+    cfg = TrainConfig(task="depth", steps=4, batch=4, **change.pop("cfg", {}))
+    with pytest.raises(ContractError, match="different model") as err:
+        train(samples, cfg, resume_from=ckpt, **change)
+    for word in named:
+        assert word in str(err.value)
+    assert "task" not in str(err.value)
+
+
+def test_resume_with_float32_inexact_depth_range_continues_bit_identically(tiny_split, tmp_path):
+    # 0.3 and 9.7 are not float32 values; the checkpoint stores their roundings
+    samples, _ = tiny_split
+    rng = dict(d_min=0.3, d_max=9.7)
+    ckpt = str(tmp_path / "mid.ckpt")
+    train(samples, TrainConfig(task="depth", steps=3, batch=4, seed=2), out_path=ckpt, **rng)
+    full = TrainConfig(task="depth", steps=6, batch=4, seed=2)
+    resumed = train(samples, full, resume_from=ckpt, **rng)
+    solid = train(samples, full, **rng)
+    assert resumed.trace == [t for t in solid.trace if t[0] >= 3]
+
+
 def test_short_depth_training_reduces_loss(tiny_split):
     samples, _ = tiny_split
     res = train(samples, TrainConfig(task="depth", steps=60, batch=4, seed=0))
