@@ -169,15 +169,18 @@ def _cast_box(slab: np.ndarray, box: Box):
     axis = np.where(lo[1] > lo[0], 1, 0)
     axis = np.where(lo[2] > t_near, 2, axis)
     t_near = np.maximum(t_near, lo[2])
-    t_far = np.minimum(hi[0], hi[1])
-    far_axis = np.where(hi[1] < hi[0], 1, 0)
-    far_axis = np.where(hi[2] < t_far, 2, far_axis)
-    t_far = np.minimum(t_far, hi[2])
+    t_far = np.minimum(np.minimum(hi[0], hi[1]), hi[2])
     enter = t_near > _EPS_T
-    hit = (t_near <= t_far) & (t_far > _EPS_T)
-    t = np.where(hit, np.where(enter, t_near, t_far), np.inf)
-    axis = np.where(enter, axis, far_axis)
-    sign = np.where(enter, -1.0, 1.0)
+    sign = -1.0
+    if not enter.all():
+        # such a ray starts inside the box, or misses it: inside, it hits the exit
+        far_axis = np.where(hi[1] < hi[0], 1, 0)
+        far_axis = np.where(hi[2] < np.minimum(hi[0], hi[1]), 2, far_axis)
+        t_near = np.where(enter, t_near, t_far)
+        axis = np.where(enter, axis, far_axis)
+        sign = np.where(enter, -1.0, 1.0)
+    hit = (t_near <= t_far) & (t_near > _EPS_T)
+    t = np.where(hit, t_near, np.inf)
     n = [np.where(axis == k, sign * np.sign(slab[k]), 0.0) for k in range(3)]
     return t, n
 

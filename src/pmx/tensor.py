@@ -414,6 +414,7 @@ class Tensor:
                 dxq = np.zeros(planes, dtype=dcols.dtype)
                 for t, (p, off) in enumerate(taps):
                     dxq[:, :, p, off:off + n] += dcols[:, :, t]
+                del dcols, gw, g3  # free them before dx is allocated
                 dgrid = grid(dxq)
                 dx = np.empty_like(x)
                 for p, (xr, qr), (xc, qc) in phases:
