@@ -11,8 +11,8 @@ topological order, accumulating into ``.grad`` additively.
 The op set is deliberately closed: elementwise arithmetic, matmul (2D, batched
 3D, and 3D @ 2D), NCHW 3x3 convolution at stride 1 or 2 with padding 1 (the
 padded input held as flat polyphase planes, so that each im2col and col2im
-tap is one contiguous slice, and one batched gemm on an output grid a column
-or two wider than the image), softmax, layer norm over the last axis,
+tap is one contiguous slice, and one gemm over the batch on an output grid a
+column or two wider than the image), softmax, layer norm over the last axis,
 bilinear 2x upsampling, reductions, and a small set of shape/indexing ops.
 There is no general broadcasting; the only sanctioned broadcast is the
 trailing bias add in ``bias_add`` and the explicit ``expand_axis`` /
@@ -347,17 +347,18 @@ class Tensor:
     def conv2d(self, weight: "Tensor", bias: Optional["Tensor"] = None, stride: int = 1) -> "Tensor":
         """3x3 convolution with padding 1 at stride s = 1 or 2, NCHW layout.
 
-        The zero-padded input is stored as its s² polyphase planes, each a
-        flat (hq, wq) grid with hq, wq = ho + 2//s, wo + 2//s plus two floats
-        of slack.  Tap (i, j) of every output pixel is then one contiguous run
-        of ho*wq floats: plane (i%s)*s + j%s from offset (i//s)*wq + j//s.  The
-        run covers a "wide" (ho, wq) output grid whose last wq - wo columns
-        wrap into the next row.  Forward copies the nine runs into cols
-        (B, Cin*9, ho*wq), runs one batched gemm W (Cout, Cin*9) @ cols and
-        crops the wide result to (B, Cout, ho, wo).  Backward widens g with
-        zero columns, so the wrapped columns add exactly 0 to dW and dx;
-        col2im adds the nine runs of Wᵀg back into the planes, and s² strided
-        copies gather dx from them.
+        The zero-padded input is stored as its s² polyphase planes, laid out
+        (Cin, s², B, hq*wq + 2): each plane a flat (hq, wq) grid with hq, wq =
+        ho + 2//s, wo + 2//s, plus two floats of slack.  Tap (i, j) of every
+        output pixel is then one contiguous run of ho*wq floats per image:
+        plane (i%s)*s + j%s from offset (i//s)*wq + j//s.  The run covers a
+        "wide" (ho, wq) output grid whose last wq - wo columns wrap into the
+        next row.  Forward copies the nine runs into cols (Cin*9, B*ho*wq),
+        runs one gemm W (Cout, Cin*9) @ cols over the whole batch, and crops
+        the wide result to (B, Cout, ho, wo).  Backward widens g with zero
+        columns, so the wrapped columns add exactly 0 to dW and dx; dW is one
+        gemm g @ colsᵀ, col2im adds the nine runs of Wᵀg back into the planes,
+        and s² strided copies gather dx from them.
         """
         if stride not in (1, 2):
             raise ShapeError(f"conv2d stride must be 1 or 2, got {stride}")
@@ -373,7 +374,7 @@ class Tensor:
         ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
         hq, wq = ho + 2 // stride, wo + 2 // stride
         n = ho * wq
-        planes = (bsz, cin, stride * stride, hq * wq + 2)
+        planes = (cin, stride * stride, bsz, hq * wq + 2)
 
         def span(phase, size):
             # x index k is padded index k + 1: along an axis, one phase holds
@@ -386,39 +387,40 @@ class Tensor:
                 for i in range(3) for j in range(3)]
 
         def grid(buf):
-            return buf[..., :hq * wq].reshape(bsz, cin, stride * stride, hq, wq)
+            return buf[..., :hq * wq].reshape(cin, stride * stride, bsz, hq, wq)
         xq = np.zeros(planes, dtype=x.dtype)
         xgrid = grid(xq)
         for p, (xr, qr), (xc, qc) in phases:
-            xgrid[:, :, p, qr, qc] = x[:, :, xr, xc]
-        cols = np.empty((bsz, cin, 9, n), dtype=x.dtype)
+            xgrid[:, p, :, qr, qc] = x[:, :, xr, xc].transpose(1, 0, 2, 3)
+        cols = np.empty((cin, 9, bsz, n), dtype=x.dtype)
         for t, (p, off) in enumerate(taps):
-            cols[:, :, t] = xq[:, :, p, off:off + n]
+            cols[:, t] = xq[:, p, :, off:off + n]
         del xq, xgrid  # the backward closure keeps only cols and wmat
-        cols = cols.reshape(bsz, cin * 9, n)
+        cols = cols.reshape(cin * 9, bsz * n)
         wmat = w.reshape(cout, cin * 9)
-        y = np.ascontiguousarray((wmat @ cols).reshape(bsz, cout, ho, wq)[..., :wo])
+        y = (wmat @ cols).reshape(cout, bsz, ho, wq)[..., :wo]
+        y = np.ascontiguousarray(y.transpose(1, 0, 2, 3))
         if bias is not None:
             y += bias.data[:, None, None]
 
         def back(g):
             if bias is not None and bias.requires_grad:
                 bias._accum(g.reshape(bsz, cout, ho * wo).sum(axis=(0, 2)))
-            gw = np.zeros((bsz, cout, ho, wq), dtype=g.dtype)
-            gw[..., :wo] = g
-            g3 = gw.reshape(bsz, cout, n)
+            gw = np.zeros((cout, bsz, ho, wq), dtype=g.dtype)
+            gw[..., :wo] = g.transpose(1, 0, 2, 3)
+            g2 = gw.reshape(cout, bsz * n)
             if weight.requires_grad:
-                weight._accum((g3 @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(cout, cin, 3, 3))
+                weight._accum((g2 @ cols.T).reshape(cout, cin, 3, 3))
             if self.requires_grad:
-                dcols = (wmat.T @ g3).reshape(bsz, cin, 9, n)
+                dcols = (wmat.T @ g2).reshape(cin, 9, bsz, n)
                 dxq = np.zeros(planes, dtype=dcols.dtype)
                 for t, (p, off) in enumerate(taps):
-                    dxq[:, :, p, off:off + n] += dcols[:, :, t]
-                del dcols, gw, g3  # free them before dx is allocated
+                    dxq[:, p, :, off:off + n] += dcols[:, t]
+                del dcols, gw, g2  # free them before dx is allocated
                 dgrid = grid(dxq)
                 dx = np.empty_like(x)
                 for p, (xr, qr), (xc, qc) in phases:
-                    dx[:, :, xr, xc] = dgrid[:, :, p, qr, qc]
+                    dx[:, :, xr, xc] = dgrid[:, p, :, qr, qc].transpose(1, 0, 2, 3)
                 self._accum(dx)
         parents = (self, weight) if bias is None else (self, weight, bias)
         return _result(y, parents, back)
