@@ -240,6 +240,12 @@ def config_from_meta(tensors: Dict[str, np.ndarray]) -> ModelConfig:
     return cfg
 
 
+def stored_config(cfg: ModelConfig) -> ModelConfig:
+    """``cfg`` as a checkpoint stores and reloads it (the depth range in
+    float32), to compare with a loaded model's config."""
+    return config_from_meta(_meta_tensors(cfg))
+
+
 def _check_dims(cfg: ModelConfig, tensors: Dict[str, np.ndarray]) -> None:
     """Compare each ``meta/`` dimension with the entries that carry it, so
     that a forged dimension fails before any weight is drawn and a load

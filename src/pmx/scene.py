@@ -170,16 +170,14 @@ def _cast_box(slab: np.ndarray, box: Box):
     axis = np.where(lo[2] > t_near, 2, axis)
     t_near = np.maximum(t_near, lo[2])
     t_far = np.minimum(np.minimum(hi[0], hi[1]), hi[2])
-    sign = -1.0
-    if t_near.min() <= _EPS_T:
-        # a ray with t_near <= 1e-6 starts inside the box or misses it; from
-        # inside, it hits the exit face
-        enter = t_near > _EPS_T
-        far_axis = np.where(hi[1] < hi[0], 1, 0)
-        far_axis = np.where(hi[2] < np.minimum(hi[0], hi[1]), 2, far_axis)
-        t_near = np.where(enter, t_near, t_far)
-        axis = np.where(enter, axis, far_axis)
-        sign = np.where(enter, -1.0, 1.0)
+    # a ray with t_near <= 1e-6 starts inside the box or misses it; from
+    # inside, it hits the exit face
+    enter = t_near > _EPS_T
+    far_axis = np.where(hi[1] < hi[0], 1, 0)
+    far_axis = np.where(hi[2] < np.minimum(hi[0], hi[1]), 2, far_axis)
+    t_near = np.where(enter, t_near, t_far)
+    axis = np.where(enter, axis, far_axis)
+    sign = np.where(enter, -1.0, 1.0)
     hit = (t_near <= t_far) & (t_near > _EPS_T)
     t = np.where(hit, t_near, np.inf)
     n = [np.where(axis == k, sign * np.sign(slab[k]), 0.0) for k in range(3)]

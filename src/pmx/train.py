@@ -25,7 +25,7 @@ from .errors import ContractError, TrainingDiverged
 from .losses import LossConfig, total_loss
 from .metrics import (PRIMARY_METRIC, MetricReport, depth_metrics, miou,
                       normal_metrics, report_for)
-from .model import PRED_KEY, Model, ModelConfig, load_model, save_model
+from .model import PRED_KEY, Model, ModelConfig, load_model, save_model, stored_config
 from .rng import SplitMix64, mix_seed_index
 from .scene import Sample
 from .tensor import Tensor
@@ -247,8 +247,7 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, classes: int = 4,
         raise ContractError("training needs a nonempty dataset")
     if resume_from is not None:
         model, opt_state = load_model(resume_from)
-        # the checkpoint holds its depth range in float32
-        want = model_config(cfg, classes, float(np.float32(d_min)), float(np.float32(d_max)))
+        want = stored_config(model_config(cfg, classes, d_min, d_max))
         diff = [f"{f.name} {getattr(model.cfg, f.name)!r} (this run: {getattr(want, f.name)!r})"
                 for f in fields(ModelConfig) if getattr(model.cfg, f.name) != getattr(want, f.name)]
         if diff:
