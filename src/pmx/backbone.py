@@ -226,10 +226,9 @@ class DecoderBlock:
 class Backbone:
     """Full image-to-(F, Q) stack: encoder, query table, decoder blocks."""
 
-    def __init__(self, cfg: BackboneConfig, seed: int = 0):
+    def __init__(self, cfg: BackboneConfig, gen: SplitMix64):
         cfg.validate()
         self.cfg = cfg
-        gen = SplitMix64(seed)
         self.encoder = Encoder(gen, cfg)
         self.queries = normal_param(gen, (cfg.k, cfg.d), 0.02)
         self.blocks = [DecoderBlock(gen, cfg.d, cfg.variant) for _ in range(cfg.n_dec)]

@@ -151,8 +151,9 @@ def read_manifest(path: str) -> dict:
 
 def write_checkpoint(path: str, tensors: Dict[str, np.ndarray]) -> None:
     """Named f32 tensors, sorted by name.  Reserved name prefixes: ``opt/``
-    for optimizer state (moments, step count) and ``meta/`` for scalar
-    model-config entries; both are ordinary tensors to this format."""
+    for optimizer state (moments, step count), ``meta/`` for scalar
+    model-config entries and ``train/`` for the training settings a resume
+    must share; all are ordinary tensors to this format."""
     names = sorted(tensors)
     if len(names) != len(set(names)):
         raise ContractError("duplicate tensor names")

@@ -49,15 +49,21 @@ def probability_map(f: Tensor, q: Tensor) -> Tensor:
     return f.matmul(q.transpose_last2()).softmax(axis=-1)
 
 
-def upsample_rows(rows: Tensor, grid: Tuple[int, int]) -> Tensor:
-    """(B, h4*w4, C) row maps to (B, 16*h4*w4, C) by two bilinear doublings."""
+def upsample_planes(rows: Tensor, grid: Tuple[int, int]) -> Tensor:
+    """(B, h4*w4, C) row maps to (B, C, 16*h4*w4) channel planes by two
+    bilinear doublings."""
     b, n, c = rows.shape
     h4, w4 = grid
     if n != h4 * w4:
         raise ShapeError(f"{n} rows do not tile a {h4}x{w4} grid")
     x = rows.transpose_last2().reshape(b, c, h4, w4)
     x = x.bilinear_upsample2x().bilinear_upsample2x()
-    return x.reshape(b, c, 16 * h4 * w4).transpose_last2()
+    return x.reshape(b, c, 16 * h4 * w4)
+
+
+def upsample_rows(rows: Tensor, grid: Tuple[int, int]) -> Tensor:
+    """(B, h4*w4, C) row maps to (B, 16*h4*w4, C) rows by two bilinear doublings."""
+    return upsample_planes(rows, grid).transpose_last2()
 
 
 def seg_predict(p: Tensor, classes: int) -> np.ndarray:
@@ -109,8 +115,8 @@ def depth_compose(p: Tensor, b: Tensor, grid: Tuple[int, int]) -> Tensor:
     if p.shape[-1] != b.shape[-1] or p.shape[0] != b.shape[0]:
         raise ShapeError(f"probability map {p.shape} vs bins {b.shape}")
     bk = b.reshape(b.shape[0], b.shape[1], 1)
-    d = upsample_rows(p.matmul(bk), grid)
-    return d.reshape(d.shape[0], d.shape[1])
+    d = upsample_planes(p.matmul(bk), grid)               # (B, 1, HW)
+    return d.reshape(d.shape[0], d.shape[2])
 
 
 class NormalHead:
@@ -122,7 +128,7 @@ class NormalHead:
 
     def __call__(self, q: Tensor) -> Tensor:
         raw = self.fc2(self.fc1(q).gelu())           # (B, K, 3)
-        return _unit_rows(raw)
+        return _unit(raw, axis=-1)
 
     def params(self, prefix: str = "head/normal") -> Dict[str, Tensor]:
         out = self.fc1.params(f"{prefix}.fc1")
@@ -130,9 +136,10 @@ class NormalHead:
         return out
 
 
-def _unit_rows(v: Tensor) -> Tensor:
-    norm = (v * v).sum(axis=-1, keepdims=True).sqrt().clamp_min(1e-8)
-    return v / norm.expand_axis(v.ndim - 1, v.shape[-1])
+def _unit(v: Tensor, axis: int) -> Tensor:
+    """v scaled to unit length along ``axis`` (norms clamped at 1e-8)."""
+    norm = (v * v).sum(axis=axis, keepdims=True).sqrt().clamp_min(1e-8)
+    return v / norm.expand_axis(axis, v.shape[axis])
 
 
 def normal_compose(p: Tensor, v: Tensor, grid: Tuple[int, int]) -> Tuple[Tensor, np.ndarray]:
@@ -144,12 +151,17 @@ def normal_compose(p: Tensor, v: Tensor, grid: Tuple[int, int]) -> Tuple[Tensor,
     degeneracy diagnostic: a norm near zero means the combination collapsed
     (e.g. equal weight on antipodal centers) and the epsilon guard decided
     the direction.
+
+    The norm and the division run on (B, 3, HW) component planes, and only
+    the unit result turns back into rows.  Summing the three squares over
+    the plane axis adds them in the same order as a row sum, (x² + y²) + z²,
+    so the result has the same bits as normalizing rows.
     """
     if p.shape[-1] != v.shape[1] or p.shape[0] != v.shape[0]:
         raise ShapeError(f"probability map {p.shape} vs segment centers {v.shape}")
-    raw = upsample_rows(p.matmul(v), grid)
-    prenorm = np.sqrt((raw.data ** 2).sum(axis=-1))
-    return _unit_rows(raw), prenorm
+    raw = upsample_planes(p.matmul(v), grid)
+    prenorm = np.sqrt((raw.data ** 2).sum(axis=1))
+    return _unit(raw, axis=1).transpose_last2(), prenorm
 
 
 class BaselineHead:
@@ -169,14 +181,14 @@ class BaselineHead:
         self.fc = Linear(gen, d, out_dim, std=math.sqrt(1.0 / d))
 
     def __call__(self, f: Tensor, grid: Tuple[int, int]) -> Tensor:
-        rows = upsample_rows(self.fc(f), grid)
+        planes = upsample_planes(self.fc(f), grid)        # (B, C, HW)
         if self.task == "seg":
-            return rows                                   # (B, HW, C) logits
+            return planes.transpose_last2()               # (B, HW, C) logits
         if self.task == "depth":
-            b, n, _ = rows.shape
-            s = rows.reshape(b, n).sigmoid()
+            b, _, n = planes.shape
+            s = planes.reshape(b, n).sigmoid()
             return s * (self.d_max - self.d_min) + self.d_min
-        return _unit_rows(rows)                           # (B, HW, 3)
+        return _unit(planes, axis=1).transpose_last2()    # (B, HW, 3)
 
     def params(self, prefix: str = "head/baseline") -> Dict[str, Tensor]:
         return self.fc.params(f"{prefix}.fc")

@@ -4,7 +4,9 @@ All computation is 64-bit numpy on plain arrays (no graphs).  Inlier
 comparisons are strict less-than; the median of an even count takes the
 lower of the two middles; classes absent from both prediction and ground
 truth are excluded from mIoU.  Accumulation pools pixels across the whole
-dataset rather than averaging per image.
+dataset rather than averaging per image.  Normals are scored as (3, N)
+component planes, so each norm and dot product is three whole-array
+multiplies and adds rather than a reduction over rows of length 3.
 """
 
 from __future__ import annotations
@@ -68,12 +70,20 @@ def miou(pred: np.ndarray, gt: np.ndarray, classes: int,
     return iou, float(np.nanmean(iou))
 
 
+def _check_mask(sel: np.ndarray, pixels: int) -> None:
+    if sel.size != pixels:
+        raise ContractError(f"mask covers {sel.size} pixels, predictions {pixels}")
+
+
 def depth_metrics(d_pred: np.ndarray, d_gt: np.ndarray, mask: np.ndarray) -> Dict[str, float]:
     sel = np.asarray(mask, dtype=bool).reshape(-1)
     if not sel.any():
         raise ContractError("depth metrics: empty mask")
-    d = np.asarray(d_pred, dtype=np.float64).reshape(-1)[sel]
-    g = np.asarray(d_gt, dtype=np.float64).reshape(-1)[sel]
+    d = np.asarray(d_pred, dtype=np.float64).reshape(-1)
+    g = np.asarray(d_gt, dtype=np.float64).reshape(-1)
+    _check_mask(sel, d.size)
+    if not sel.all():
+        d, g = d[sel], g[sel]
     diff = d - g
     ratio = np.maximum(d / g, g / d)
     out = {
@@ -87,28 +97,53 @@ def depth_metrics(d_pred: np.ndarray, d_gt: np.ndarray, mask: np.ndarray) -> Dic
 
 
 def _lower_median(values: np.ndarray) -> float:
-    v = np.sort(values)
-    return float(v[(v.size - 1) // 2])
+    k = (values.size - 1) // 2
+    return float(np.partition(values, k)[k])
+
+
+def _planes(n: np.ndarray) -> np.ndarray:
+    """(..., 3) vectors as contiguous (3, N) float64 component planes."""
+    return np.asarray(n).reshape(-1, 3).T.astype(np.float64, order="C")
+
+
+def _normalize(v: np.ndarray) -> None:
+    """Divide (3, N) planes in place by their column norms, floored at 1e-12."""
+    norm = v[0] * v[0]
+    norm += v[1] * v[1]
+    norm += v[2] * v[2]
+    np.sqrt(norm, out=norm)
+    v /= np.maximum(norm, 1e-12, out=norm)
+
+
+def _angles(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Per-column angle in degrees between (3, N) planes, after defensive
+    renormalization; overwrites p and g.  Every three-term sum adds
+    (x + y) + z, the order in which numpy reduces a length-3 row, so the
+    result has the same bits as the row form."""
+    _normalize(p)
+    _normalize(g)
+    dot = p[0] * g[0]
+    dot += p[1] * g[1]
+    dot += p[2] * g[2]
+    np.clip(dot, -1.0, 1.0, out=dot)
+    np.arccos(dot, out=dot)
+    return np.degrees(dot, out=dot)
 
 
 def angular_error_deg(n_pred: np.ndarray, n_gt: np.ndarray) -> np.ndarray:
     """Per-pixel angle in degrees after defensive renormalization."""
-    p = np.asarray(n_pred, dtype=np.float64).reshape(-1, 3)
-    g = np.asarray(n_gt, dtype=np.float64).reshape(-1, 3)
-    p = p / np.maximum(np.linalg.norm(p, axis=-1, keepdims=True), 1e-12)
-    g = g / np.maximum(np.linalg.norm(g, axis=-1, keepdims=True), 1e-12)
-    dot = np.clip((p * g).sum(axis=-1), -1.0, 1.0)
-    return np.degrees(np.arccos(dot))
+    return _angles(_planes(n_pred), _planes(n_gt))
 
 
 def normal_metrics(n_pred: np.ndarray, n_gt: np.ndarray, mask: np.ndarray) -> Dict[str, float]:
     sel = np.asarray(mask, dtype=bool).reshape(-1)
     if not sel.any():
         raise ContractError("normal metrics: empty mask")
-    theta = angular_error_deg(
-        np.asarray(n_pred).reshape(-1, 3)[sel],
-        np.asarray(n_gt).reshape(-1, 3)[sel],
-    )
+    p, g = _planes(n_pred), _planes(n_gt)
+    _check_mask(sel, p.shape[1])
+    if not sel.all():
+        p, g = p[:, sel], g[:, sel]
+    theta = _angles(p, g)
     out = {
         "mean_deg": float(theta.mean()),
         "median_deg": _lower_median(theta),

@@ -9,15 +9,16 @@ Two head families share the same convolutional encoder-decoder:
             queries, no clusters.
 
 Checkpoints store every parameter under its name, model shape under
-``meta/`` entries, and (when given) optimizer state under ``opt/``, so a
-file alone reconstructs the model.
+``meta/`` entries, and (when given) optimizer state under ``opt/`` and the
+training settings a resume must share under ``train/``, so a file alone
+reconstructs the model.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,16 +66,20 @@ class ModelConfig:
 
 class Model:
     def __init__(self, cfg: ModelConfig, seed: int = 0):
+        self._build(cfg, SplitMix64(seed), SplitMix64(mix_seed_index(seed, 0x6EAD)))
+
+    def _build(self, cfg: ModelConfig, gen, hgen) -> None:
+        """Create every module, drawing backbone weights from gen and head
+        weights from hgen."""
         cfg.validate()
         self.cfg = cfg
         bb = BackboneConfig(cfg.widths, cfg.d, cfg.n_dec, cfg.k, cfg.variant)
         self.backbone: Optional[Backbone] = None
         self.encoder: Optional[Encoder] = None
         if cfg.head == "cluster":
-            self.backbone = Backbone(bb, seed)
+            self.backbone = Backbone(bb, gen)
         else:
-            self.encoder = Encoder(SplitMix64(seed), bb)
-        hgen = SplitMix64(mix_seed_index(seed, 0x6EAD))
+            self.encoder = Encoder(gen, bb)
         self.bins_head = self.normal_head = self.baseline_head = None
         if cfg.head == "cluster":
             if cfg.task == "depth":
@@ -142,8 +147,8 @@ class Model:
         bsz, _, h, w = images.shape
         with no_grad():
             f, q, grid = self._features(images)
-            p_full = heads.upsample_rows(heads.probability_map(f, q), grid)
-        return p_full.data.swapaxes(-1, -2).reshape(bsz, self.cfg.k, h, w)
+            planes = heads.upsample_planes(heads.probability_map(f, q), grid)
+        return planes.data.reshape(bsz, self.cfg.k, h, w)
 
     def bin_centers(self, images: Tensor) -> np.ndarray:
         if self.bins_head is None:
@@ -274,21 +279,58 @@ def _check_dims(cfg: ModelConfig, tensors: Dict[str, np.ndarray]) -> None:
         raise ContractError(f"checkpoint holds {len(found)} decoder blocks, meta/ implies {blocks}")
 
 
-def save_model(path: str, model: Model, opt_state: Dict[str, np.ndarray] = None) -> None:
+class _ZeroSource:
+    """Stands in for a SplitMix64 when a checkpoint is about to overwrite
+    every weight: its "normals" are zeros, so building costs no draw."""
+
+    @staticmethod
+    def normals(n: int) -> np.ndarray:
+        return np.zeros(n)
+
+
+def _run_tensors(run: Dict[str, Sequence[float]]) -> Dict[str, np.ndarray]:
+    return {f"train/{n}": np.asarray(v, dtype=np.float32).reshape(-1) for n, v in run.items()}
+
+
+def _run_values(tensors: Dict[str, np.ndarray]) -> Dict[str, List[float]]:
+    return {n[len("train/"):]: [float(v) for v in np.asarray(a).reshape(-1)]
+            for n, a in tensors.items() if n.startswith("train/")}
+
+
+def stored_run(run: Dict[str, Sequence[float]]) -> Dict[str, List[float]]:
+    """Training settings as a checkpoint stores and reloads them (float32
+    values), to compare with those ``load_checkpoint`` returns."""
+    return _run_values(_run_tensors(run))
+
+
+def save_model(path: str, model: Model, opt_state: Dict[str, np.ndarray] = None,
+               run: Dict[str, Sequence[float]] = None) -> None:
+    """Write the parameters and ``meta/`` entries, plus optimizer state under
+    ``opt/`` and named training settings under ``train/`` when given."""
     tensors: Dict[str, np.ndarray] = {n: p.data for n, p in model.params().items()}
     tensors.update(_meta_tensors(model.cfg))
-    if opt_state:
-        for name, arr in opt_state.items():
-            tensors[f"opt/{name}"] = arr
+    for name, arr in (opt_state or {}).items():
+        tensors[f"opt/{name}"] = arr
+    tensors.update(_run_tensors(run or {}))
     formats.write_checkpoint(path, tensors)
+
+
+def load_checkpoint(path: str) -> Tuple[Model, Dict[str, np.ndarray], Dict[str, List[float]]]:
+    """Rebuild a model from a checkpoint; returns it, its opt/ state and its
+    train/ settings (either may be empty).  The parameter tensors are built
+    without drawing weights, since the checkpoint overwrites every one."""
+    tensors = formats.read_checkpoint(path)
+    cfg = config_from_meta(tensors)
+    _check_dims(cfg, tensors)
+    model = Model.__new__(Model)
+    zeros = _ZeroSource()
+    model._build(cfg, zeros, zeros)
+    model.load_state(tensors)
+    opt = {n[4:]: a for n, a in tensors.items() if n.startswith("opt/")}
+    return model, opt, _run_values(tensors)
 
 
 def load_model(path: str) -> Tuple[Model, Dict[str, np.ndarray]]:
     """Rebuild a model from a checkpoint; returns it plus any opt/ state."""
-    tensors = formats.read_checkpoint(path)
-    cfg = config_from_meta(tensors)
-    _check_dims(cfg, tensors)
-    model = Model(cfg, seed=0)
-    model.load_state(tensors)
-    opt = {n[4:]: a for n, a in tensors.items() if n.startswith("opt/")}
+    model, opt, _ = load_checkpoint(path)
     return model, opt

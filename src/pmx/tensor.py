@@ -77,9 +77,16 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accum(self, g: np.ndarray) -> None:
+    def _accum(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add g into .grad.  The first accumulation copies g, unless the op
+        says it built g for this input alone (``owned``): then .grad takes
+        the array itself.  Closures that pass their incoming gradient
+        through, or a view of it, must not claim ownership."""
         if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
+            if owned and g.dtype == self.data.dtype:
+                self.grad = g
+            else:
+                self.grad = g.astype(self.data.dtype, copy=True)
         else:
             self.grad += g
 
@@ -130,14 +137,14 @@ class Tensor:
         return self.__neg__().__add__(other)
 
     def __neg__(self):
-        return _result(-self.data, (self,), lambda g: self._accum(-g))
+        return _result(-self.data, (self,), lambda g: self._accum(-g, owned=True))
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
             _same_shape(self, other, "mul")
             return _binary(self, other, self.data * other.data,
-                           lambda g: g * other.data, lambda g: g * self.data)
-        return _result(self.data * other, (self,), lambda g: self._accum(g * other))
+                           lambda g: g * other.data, lambda g: g * self.data, owned=True)
+        return _result(self.data * other, (self,), lambda g: self._accum(g * other, owned=True))
 
     __rmul__ = __mul__
 
@@ -145,18 +152,18 @@ class Tensor:
         if isinstance(other, Tensor):
             _same_shape(self, other, "div")
             return _binary(self, other, self.data / other.data, lambda g: g / other.data,
-                           lambda g: -g * self.data / (other.data * other.data))
+                           lambda g: -g * self.data / (other.data * other.data), owned=True)
         return self.__mul__(1.0 / other)
 
     def __rtruediv__(self, other):
         return _result(other / self.data, (self,),
-                       lambda g: self._accum(-g * other / (self.data * self.data)))
+                       lambda g: self._accum(-g * other / (self.data * self.data), owned=True))
 
     # ---- unary elementwise --------------------------------------------------
 
     def relu(self) -> "Tensor":
         return _result(np.maximum(self.data, 0), (self,),
-                       lambda g: self._accum(g * (self.data > 0)))
+                       lambda g: self._accum(g * (self.data > 0), owned=True))
 
     def gelu(self) -> "Tensor":
         """Tanh-approximation gelu: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))."""
@@ -168,7 +175,7 @@ class Tensor:
         def back(g):
             xx = self.data
             dinner = c * (1.0 + 3.0 * 0.044715 * xx * xx)
-            self._accum(g * (0.5 * (1.0 + t) + 0.5 * xx * (1.0 - t * t) * dinner))
+            self._accum(g * (0.5 * (1.0 + t) + 0.5 * xx * (1.0 - t * t) * dinner), owned=True)
         return _result(0.5 * x * (1.0 + t), (self,), back)
 
     def sigmoid(self) -> "Tensor":
@@ -179,21 +186,22 @@ class Tensor:
         s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         e = np.exp(x[~pos])
         s[~pos] = e / (1.0 + e)
-        return _result(s, (self,), lambda g: self._accum(g * s * (1.0 - s)))
+        return _result(s, (self,), lambda g: self._accum(g * s * (1.0 - s), owned=True))
 
     def exp(self) -> "Tensor":
         y = np.exp(self.data)
-        return _result(y, (self,), lambda g: self._accum(g * y))
+        return _result(y, (self,), lambda g: self._accum(g * y, owned=True))
 
     def log(self) -> "Tensor":
-        return _result(np.log(self.data), (self,), lambda g: self._accum(g / self.data))
+        return _result(np.log(self.data), (self,), lambda g: self._accum(g / self.data, owned=True))
 
     def sqrt(self) -> "Tensor":
         y = np.sqrt(self.data)
-        return _result(y, (self,), lambda g: self._accum(g * 0.5 / y))
+        return _result(y, (self,), lambda g: self._accum(g * 0.5 / y, owned=True))
 
     def abs(self) -> "Tensor":
-        return _result(np.abs(self.data), (self,), lambda g: self._accum(g * np.sign(self.data)))
+        return _result(np.abs(self.data), (self,),
+                       lambda g: self._accum(g * np.sign(self.data), owned=True))
 
     def clamp(self, lo: Optional[float] = None, hi: Optional[float] = None) -> "Tensor":
         """Clip to [lo, hi]; gradient passes where lo <= x <= hi (subgradient 1
@@ -204,7 +212,7 @@ class Tensor:
                 mask &= self.data >= lo
             if hi is not None:
                 mask &= self.data <= hi
-            self._accum(g * mask)
+            self._accum(g * mask, owned=True)
         return _result(np.clip(self.data, lo, hi), (self,), back)
 
     def clamp_min(self, lo: float) -> "Tensor":
@@ -226,7 +234,7 @@ class Tensor:
                 return s.swapaxes(-1, -2) @ g
             return s.reshape(-1, s.shape[-1]).T @ g.reshape(-1, other.shape[-1])
         return _binary(self, other, a @ b,
-                       lambda g: g @ other.data.swapaxes(-1, -2), grad_other)
+                       lambda g: g @ other.data.swapaxes(-1, -2), grad_other, owned=True)
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return self.matmul(other)
@@ -247,7 +255,7 @@ class Tensor:
 
         def back(g):
             dot = (g * y).sum(axis=axis, keepdims=True)
-            self._accum(y * (g - dot))
+            self._accum(y * (g - dot), owned=True)
         return _result(y, (self,), back)
 
     def layernorm(self, gamma: "Tensor", beta: "Tensor", eps: float = 1e-5) -> "Tensor":
@@ -268,14 +276,14 @@ class Tensor:
 
         def back(g):
             if gamma.requires_grad:
-                gamma._accum((g * xhat).reshape(-1, d).sum(axis=0))
+                gamma._accum((g * xhat).reshape(-1, d).sum(axis=0), owned=True)
             if beta.requires_grad:
-                beta._accum(g.reshape(-1, d).sum(axis=0))
+                beta._accum(g.reshape(-1, d).sum(axis=0), owned=True)
             if self.requires_grad:
                 dxhat = g * gamma.data
                 m1 = dxhat.mean(axis=-1, keepdims=True)
                 m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-                self._accum(inv * (dxhat - m1 - xhat * m2))
+                self._accum(inv * (dxhat - m1 - xhat * m2), owned=True)
         return _result(xhat * gamma.data + beta.data, (self, gamma, beta), back)
 
     # ---- shape ops ------------------------------------------------------------
@@ -291,12 +299,12 @@ class Tensor:
         if self.shape[axis] != 1:
             raise ShapeError(f"expand_axis needs size 1 at axis {axis}, got {self.shape}")
         return _result(np.repeat(self.data, n, axis=axis), (self,),
-                       lambda g: self._accum(g.sum(axis=axis, keepdims=True)))
+                       lambda g: self._accum(g.sum(axis=axis, keepdims=True), owned=True))
 
     def expand_leading(self, n: int) -> "Tensor":
         """Prepend a new leading axis of size n.  Backward sums over it."""
         return _result(np.ascontiguousarray(np.broadcast_to(self.data, (n,) + self.shape)),
-                       (self,), lambda g: self._accum(g.sum(axis=0)))
+                       (self,), lambda g: self._accum(g.sum(axis=0), owned=True))
 
     def narrow(self, axis: int, start: int, length: int) -> "Tensor":
         """Contiguous slice along one axis.  Backward zero-pads."""
@@ -307,7 +315,7 @@ class Tensor:
         def back(g):
             full = np.zeros_like(self.data)
             full[idx] = g
-            self._accum(full)
+            self._accum(full, owned=True)
         return _result(np.ascontiguousarray(self.data[idx]), (self,), back)
 
     def cumsum_last(self) -> "Tensor":
@@ -318,12 +326,13 @@ class Tensor:
 
     def sum(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
         return _result(self.data.sum(axis=axis, keepdims=keepdims), (self,),
-                       lambda g: self._accum(_spread(g, axis, keepdims, self.shape)))
+                       lambda g: self._accum(_spread(g, axis, keepdims, self.shape), owned=True))
 
     def mean(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
         n = self.data.size if axis is None else self.shape[axis]
         return _result(self.data.mean(axis=axis, keepdims=keepdims), (self,),
-                       lambda g: self._accum(_spread(g, axis, keepdims, self.shape) / n))
+                       lambda g: self._accum(_spread(g, axis, keepdims, self.shape) / n,
+                                             owned=True))
 
     # ---- indexing ---------------------------------------------------------------
 
@@ -339,7 +348,7 @@ class Tensor:
         def back(g):
             full = np.zeros_like(self.data)
             np.add.at(full, (rows, idx), g)
-            self._accum(full)
+            self._accum(full, owned=True)
         return _result(self.data[rows, idx], (self,), back)
 
     # ---- spatial ops ---------------------------------------------------------
@@ -405,12 +414,12 @@ class Tensor:
 
         def back(g):
             if bias is not None and bias.requires_grad:
-                bias._accum(g.reshape(bsz, cout, ho * wo).sum(axis=(0, 2)))
+                bias._accum(g.reshape(bsz, cout, ho * wo).sum(axis=(0, 2)), owned=True)
             gw = np.zeros((cout, bsz, ho, wq), dtype=g.dtype)
             gw[..., :wo] = g.transpose(1, 0, 2, 3)
             g2 = gw.reshape(cout, bsz * n)
             if weight.requires_grad:
-                weight._accum((g2 @ cols.T).reshape(cout, cin, 3, 3))
+                weight._accum((g2 @ cols.T).reshape(cout, cin, 3, 3), owned=True)
             if self.requires_grad:
                 dcols = (wmat.T @ g2).reshape(cin, 9, bsz, n)
                 dxq = np.zeros(planes, dtype=dcols.dtype)
@@ -421,7 +430,7 @@ class Tensor:
                 dx = np.empty_like(x)
                 for p, (xr, qr), (xc, qc) in phases:
                     dx[:, :, xr, xc] = dgrid[:, p, :, qr, qc].transpose(1, 0, 2, 3)
-                self._accum(dx)
+                self._accum(dx, owned=True)
         parents = (self, weight) if bias is None else (self, weight, bias)
         return _result(y, parents, back)
 
@@ -438,7 +447,7 @@ class Tensor:
 
         def back(g):
             g2 = g.reshape(bsz * c, 2 * h, 2 * w)
-            self._accum((lh.T @ g2 @ lw).reshape(bsz, c, h, w))
+            self._accum((lh.T @ g2 @ lw).reshape(bsz, c, h, w), owned=True)
         return _result(y2.reshape(bsz, c, 2 * h, 2 * w), (self,), back)
 
     def avg_pool2d(self, factor: int) -> "Tensor":
@@ -452,7 +461,7 @@ class Tensor:
 
         def back(g):
             up = np.repeat(np.repeat(g, factor, axis=2), factor, axis=3)
-            self._accum(up / (factor * factor))
+            self._accum(up / (factor * factor), owned=True)
         return _result(y, (self,), back)
 
 
@@ -472,14 +481,15 @@ def _result(data: np.ndarray, parents: Sequence[Tensor],
 
 def _binary(a: Tensor, b: Tensor, data: np.ndarray,
             grad_a: Callable[[np.ndarray], np.ndarray],
-            grad_b: Callable[[np.ndarray], np.ndarray]) -> Tensor:
+            grad_b: Callable[[np.ndarray], np.ndarray], owned: bool = False) -> Tensor:
     """Two-input op whose backward sends grad_a(g) to a and grad_b(g) to b,
-    each computed only if that input requires grad."""
+    each computed only if that input requires grad.  ``owned``: both
+    functions return a new array (see ``Tensor._accum``)."""
     def back(g):
         if a.requires_grad:
-            a._accum(grad_a(g))
+            a._accum(grad_a(g), owned)
         if b.requires_grad:
-            b._accum(grad_b(g))
+            b._accum(grad_b(g), owned)
     return _result(data, (a, b), back)
 
 

@@ -25,7 +25,8 @@ from .errors import ContractError, TrainingDiverged
 from .losses import LossConfig, total_loss
 from .metrics import (PRIMARY_METRIC, MetricReport, depth_metrics, miou,
                       normal_metrics, report_for)
-from .model import PRED_KEY, Model, ModelConfig, load_model, save_model, stored_config
+from .model import (PRED_KEY, Model, ModelConfig, load_checkpoint, save_model, stored_config,
+                    stored_run)
 from .rng import SplitMix64, mix_seed_index
 from .scene import Sample
 from .tensor import Tensor
@@ -226,6 +227,58 @@ def model_config(cfg: TrainConfig, classes: int, d_min: float, d_max: float) -> 
                        classes=classes, d_min=d_min, d_max=d_max)
 
 
+_SEED_LIMBS = (48, 32, 16, 0)
+
+
+def _run_settings(cfg: TrainConfig) -> Dict[str, List[float]]:
+    """The settings besides the model that a resumed run must share with the
+    run that saved its checkpoint (``steps`` and ``eval_every`` may differ).
+    The seed is stored as four 16-bit limbs of its value mod 2**64, which
+    float32 holds exactly; that value is all that the sample order and the
+    weights depend on."""
+    loss = cfg.loss
+    return {
+        "seed": [(cfg.seed >> s) & 0xFFFF for s in _SEED_LIMBS],
+        "batch": [cfg.batch],
+        "lr": [cfg.lr],
+        "weight_decay": [cfg.weight_decay],
+        "backbone_lr_mult": [cfg.backbone_lr_mult],
+        "clip_norm": [cfg.clip_norm],
+        "loss.silog_lambda": [loss.silog_lambda],
+        "loss.grad_scales": [loss.grad_scales],
+        "loss.ignore_label": [loss.ignore_label],
+        "loss.depth_weights": list(loss.depth_weights),
+    }
+
+
+def _shown(name: str, values: Optional[List[float]]) -> str:
+    if values is None:
+        return "missing"
+    if name == "seed" and len(values) == 4 and all(v.is_integer() for v in values):
+        return str(sum(int(v) << s for v, s in zip(values, _SEED_LIMBS)))
+    return ", ".join(f"{v:g}" for v in values)
+
+
+def _check_resume(model: Model, stored: Dict[str, List[float]], cfg: TrainConfig,
+                  classes: int, d_min: float, d_max: float) -> None:
+    """Refuse a checkpoint whose model or training settings differ from this
+    run's, naming each differing field.  Files without ``train/`` entries
+    (version 1, or version 2 written before they existed) are checked for
+    the model only."""
+    want = stored_config(model_config(cfg, classes, d_min, d_max))
+    diff = [f"{f.name} {getattr(model.cfg, f.name)!r} (this run: {getattr(want, f.name)!r})"
+            for f in fields(ModelConfig) if getattr(model.cfg, f.name) != getattr(want, f.name)]
+    if diff:
+        raise ContractError("resume checkpoint is a different model: " + ", ".join(diff))
+    if not stored:
+        return
+    diff = [f"{n} {_shown(n, stored.get(n))} (this run: {_shown(n, v)})"
+            for n, v in stored_run(_run_settings(cfg)).items() if stored.get(n) != v]
+    if diff:
+        raise ContractError("resume checkpoint was trained with different settings: "
+                            + ", ".join(diff))
+
+
 def write_trace(path: str, trace: List[Tuple[int, float, Dict[str, float]]]) -> None:
     if not trace:
         return
@@ -246,12 +299,8 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, classes: int = 4,
     if len(samples) == 0:
         raise ContractError("training needs a nonempty dataset")
     if resume_from is not None:
-        model, opt_state = load_model(resume_from)
-        want = stored_config(model_config(cfg, classes, d_min, d_max))
-        diff = [f"{f.name} {getattr(model.cfg, f.name)!r} (this run: {getattr(want, f.name)!r})"
-                for f in fields(ModelConfig) if getattr(model.cfg, f.name) != getattr(want, f.name)]
-        if diff:
-            raise ContractError("resume checkpoint is a different model: " + ", ".join(diff))
+        model, opt_state, stored = load_checkpoint(resume_from)
+        _check_resume(model, stored, cfg, classes, d_min, d_max)
     else:
         model = Model(model_config(cfg, classes, d_min, d_max), seed=cfg.seed)
         opt_state = None
@@ -275,7 +324,7 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, classes: int = 4,
         if best is None or (score > best[0] if best_hi else score < best[0]):
             best = (score, done)
             if out_path:
-                save_model(out_path + ".best", model, opt.state())
+                save_model(out_path + ".best", model, opt.state(), _run_settings(cfg))
 
     for step in range(opt.t, cfg.steps):
         idx = order.batch_indices(step)
@@ -308,7 +357,7 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, classes: int = 4,
     if final_report is not None:
         record(cfg.steps, final_report)
     if out_path:
-        save_model(out_path, model, opt.state())
+        save_model(out_path, model, opt.state(), _run_settings(cfg))
     if trace_path:
         write_trace(trace_path, trace)
     return TrainResult(model, trace, reports, final_report,

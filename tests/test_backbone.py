@@ -117,7 +117,7 @@ def test_block_rejects_zero_queries():
 
 
 def test_full_stack_shapes_and_determinism():
-    bb = Backbone(_cfg(), seed=5)
+    bb = Backbone(_cfg(), SplitMix64(5))
     x = Tensor(_n(14, 2, 3, 32, 32))
     f1, q1, grid = bb(x)
     f2, q2, _ = bb(x)
@@ -128,8 +128,8 @@ def test_full_stack_shapes_and_determinism():
 
 def test_query_slot_permutation_equivariance():
     cfg = _cfg(variant="standard")
-    b1 = Backbone(cfg, seed=6)
-    b2 = Backbone(cfg, seed=6)
+    b1 = Backbone(cfg, SplitMix64(6))
+    b2 = Backbone(cfg, SplitMix64(6))
     perm = np.array([2, 0, 3, 1])
     b2.queries.data[...] = b1.queries.data[perm]
     x = Tensor(_n(15, 1, 3, 32, 32))
@@ -139,7 +139,7 @@ def test_query_slot_permutation_equivariance():
 
 
 def test_param_names_are_prefixed_and_unique():
-    bb = Backbone(_cfg(), seed=0)
+    bb = Backbone(_cfg(), SplitMix64(0))
     names = list(bb.params())
     assert len(names) == len(set(names))
     assert all(n.startswith(("enc/", "dec/")) for n in names)

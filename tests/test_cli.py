@@ -113,6 +113,24 @@ def test_train_resume_of_a_different_model_is_one_line_runtime_error(data, depth
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags,named", [
+    (["--seed", "3"], ["seed 0 (this run: 3)"]),
+    (["--lr", "finetune", "--no-clip"], ["lr 0.0005 (this run: 5e-05)", "clip_norm 10 (this run: 0)"]),
+    (["--batch", "2"], ["batch 4 (this run: 2)"]),
+])
+def test_train_resume_with_different_settings_is_one_line_runtime_error(
+        data, depth_ckpt, tmp_path, capsys, flags, named):
+    out = tmp_path / "m.pmxc"
+    args = ["train", "--task", "depth", "--data", data, "--steps", "3", "--batch", "4",
+            "--resume", depth_ckpt, "--out", str(out)]
+    assert main(args + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    for words in named:
+        assert words in err
+    assert not out.exists()
+
+
 def test_train_resume_of_the_same_model_continues(data, depth_ckpt, tmp_path):
     out = tmp_path / "m.pmxc"
     assert main(["train", "--task", "depth", "--data", data, "--steps", "3", "--batch", "4",

@@ -1,5 +1,7 @@
 """Cluster heads: shared probability map, bins, sphere segments, baseline."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from pmx.heads import (
     normal_compose,
     probability_map,
     seg_predict,
+    upsample_planes,
     upsample_rows,
 )
 from pmx.rng import SplitMix64
@@ -212,6 +215,73 @@ def test_grid_composition_matches_full_resolution_map():
         n, prenorm = normal_compose(p4, v, (3, 5))
         np.testing.assert_allclose(prenorm, norm, rtol=1e-12)
         np.testing.assert_allclose(n.data, raw / norm[..., None], rtol=0, atol=1e-12)
+
+
+# ---- row-layout oracles for the plane-wise normal heads -------------------------------
+# The normal heads normalize (B, 3, HW) planes and turn only the unit result
+# back into rows.  These oracles are the row-layout code they replaced; a sum
+# over the plane axis adds (x² + y²) + z² in the same order as a row sum, so
+# outputs, prenorm and gradients must match bit for bit.
+
+
+def _row_unit(v):
+    norm = (v * v).sum(axis=-1, keepdims=True).sqrt().clamp_min(1e-8)
+    return v / norm.expand_axis(v.ndim - 1, v.shape[-1])
+
+
+def _row_normal_compose(p, v, grid):
+    raw = upsample_rows(p.matmul(v), grid)
+    return _row_unit(raw), np.sqrt((raw.data ** 2).sum(axis=-1))
+
+
+def _leaves(seed, *shapes):
+    gen = SplitMix64(seed)
+    return [Tensor(gen.normals(int(np.prod(s))).reshape(s), requires_grad=True) for s in shapes]
+
+
+def _grads_after(out, leaves, seed):
+    w = Tensor(SplitMix64(seed).normals(out.data.size).reshape(out.shape))
+    for t in leaves:
+        t.zero_grad()
+    (out * w).sum().backward()
+    return [t.grad.copy() for t in leaves]
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_normal_compose_matches_row_oracle_bit_for_bit(verify):
+    with precision.verify() if verify else contextlib.nullcontext():
+        f, q, v = _leaves(31, (2, 15, 8), (2, 4, 8), (2, 4, 3))
+        v.data[0, 1] = -v.data[0, 0]            # an antipodal pair of centers
+        # each side gets its own P, so the two backward passes share no node
+        n, prenorm = normal_compose(probability_map(f, q), v, (3, 5))
+        want, want_pre = _row_normal_compose(probability_map(f, q), v, (3, 5))
+        assert n.data.dtype == precision.dtype() and n.shape == (2, 240, 3)
+        assert np.array_equal(n.data, want.data)
+        assert np.array_equal(prenorm, want_pre)
+        got = _grads_after(n, (f, q, v), 32)
+        for g, w in zip(got, _grads_after(want, (f, q, v), 32)):
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_baseline_normal_matches_row_oracle_bit_for_bit(verify):
+    with precision.verify() if verify else contextlib.nullcontext():
+        head = BaselineHead(SplitMix64(33), 8, "normal", 4)
+        (f,) = _leaves(34, (2, 12, 8))
+        out = head(f, (3, 4))
+        want = _row_unit(upsample_rows(head.fc(f), (3, 4)))
+        assert out.data.dtype == precision.dtype() and out.shape == (2, 192, 3)
+        assert np.array_equal(out.data, want.data)
+        leaves = (f, head.fc.weight, head.fc.bias)
+        for g, w in zip(_grads_after(out, leaves, 35), _grads_after(want, leaves, 35)):
+            assert np.array_equal(g, w)
+
+
+def test_upsample_planes_are_the_transposed_rows():
+    rows = Tensor(_n(36, 2, 6, 5))
+    planes = upsample_planes(rows, (2, 3))
+    assert planes.shape == (2, 5, 96)
+    assert np.array_equal(planes.data.swapaxes(-1, -2), upsample_rows(rows, (2, 3)).data)
 
 
 # ---- baseline head -------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pmx.errors import ContractError
-from pmx.metrics import (angular_error_deg, confusion_matrix,
+from pmx.metrics import (_lower_median, angular_error_deg, confusion_matrix,
                          depth_metrics, miou, normal_metrics, report_for)
 
 
@@ -234,6 +234,99 @@ def test_normal_inlier_monotone(rng):
         g = _unit(rng, 128)
         out = normal_metrics(p, g, np.ones(128))
         assert out["inlier_11"] <= out["inlier_22"] <= out["inlier_30"]
+
+
+# ---- row-layout oracles for the plane-wise normal metrics ----------------------------
+# These are the (N, 3) row formulas the metrics used before they moved to (3, N)
+# planes.  Sums over a length-3 row and the planar (x + y) + z agree bit for
+# bit, so the comparisons use array_equal, not a tolerance.
+
+
+def _row_angles(n_pred, n_gt):
+    p = np.asarray(n_pred, dtype=np.float64).reshape(-1, 3)
+    g = np.asarray(n_gt, dtype=np.float64).reshape(-1, 3)
+    p = p / np.maximum(np.linalg.norm(p, axis=-1, keepdims=True), 1e-12)
+    g = g / np.maximum(np.linalg.norm(g, axis=-1, keepdims=True), 1e-12)
+    dot = np.clip((p * g).sum(axis=-1), -1.0, 1.0)
+    return np.degrees(np.arccos(dot))
+
+
+def _row_normal_metrics(n_pred, n_gt, mask):
+    sel = np.asarray(mask, dtype=bool).reshape(-1)
+    theta = _row_angles(np.asarray(n_pred).reshape(-1, 3)[sel],
+                        np.asarray(n_gt).reshape(-1, 3)[sel])
+    out = {
+        "mean_deg": float(theta.mean()),
+        "median_deg": float(np.sort(theta)[(theta.size - 1) // 2]),
+        "rms_deg": float(np.sqrt((theta ** 2).mean())),
+    }
+    for deg, key in ((11.5, "inlier_11"), (22.5, "inlier_22"), (30.0, "inlier_30")):
+        out[key] = float((theta < deg).mean())
+    return out
+
+
+def _vector_cases(rng):
+    """(pred, gt, mask) triples: random float32 and float64 maps with
+    tiny, huge and zero vectors, antipodal and identical pairs."""
+    cases = []
+    for dtype in (np.float32, np.float64):
+        p = rng.normal(size=(4, 16, 16, 3)).astype(dtype)
+        g = rng.normal(size=(4, 16, 16, 3)).astype(dtype)
+        p[0, 0] *= 1e-20
+        p[0, 1] *= 1e15
+        p[1, 0] = 0.0
+        cases.append((p, g, rng.uniform(size=4 * 256) > 0.3))
+        cases.append((p, g, np.ones(4 * 256)))
+        cases.append((p, -p, np.ones(4 * 256)))
+        cases.append((g, g, np.ones(4 * 256)))
+    return cases
+
+
+def test_angular_error_matches_row_oracle_bit_for_bit(rng):
+    for p, g, _ in _vector_cases(rng):
+        assert np.array_equal(angular_error_deg(p, g), _row_angles(p, g))
+    empty = np.zeros((0, 3))
+    assert angular_error_deg(empty, empty).shape == (0,)
+    assert np.array_equal(angular_error_deg(empty, empty), _row_angles(empty, empty))
+
+
+def test_normal_metrics_match_row_oracle_bit_for_bit(rng):
+    for p, g, mask in _vector_cases(rng):
+        assert normal_metrics(p, g, mask) == _row_normal_metrics(p, g, mask)
+
+
+def test_normal_metrics_zero_length_raises():
+    with pytest.raises(ContractError):
+        normal_metrics(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
+
+
+@pytest.mark.parametrize("fn", [depth_metrics, normal_metrics])
+def test_metrics_reject_a_mask_of_the_wrong_size(fn):
+    pred = np.ones((4, 3)) if fn is normal_metrics else np.ones(4)
+    with pytest.raises(ContractError, match="mask"):
+        fn(pred, pred, np.ones(5))
+
+
+def test_lower_median_matches_sorted_middle_with_ties(rng):
+    for n in list(range(1, 12)) + [100, 101]:
+        for _ in range(5):
+            values = rng.integers(0, 4, size=n).astype(np.float64)
+            assert _lower_median(values) == np.sort(values)[(n - 1) // 2], n
+    assert _lower_median(np.array([3.0, 1.0, 2.0, 4.0])) == 2.0
+    assert _lower_median(np.array([5.0, 5.0, 1.0])) == 5.0
+
+
+@pytest.mark.parametrize("fn,shape", [(depth_metrics, (4, 256)), (normal_metrics, (4, 256, 3))])
+def test_masked_and_full_mask_paths_agree(rng, fn, shape):
+    # a mask that drops the first pixel scores the same as the full mask on
+    # the other pixels: the selecting path and the no-copy path agree
+    pred = rng.uniform(0.5, 10.0, size=shape).astype(np.float32)
+    gt = rng.uniform(0.5, 10.0, size=shape).astype(np.float32)
+    mask = np.ones(4 * 256, dtype=bool)
+    mask[0] = False
+    width = 3 if fn is normal_metrics else 1
+    rest = pred.reshape(-1)[width:], gt.reshape(-1)[width:]
+    assert fn(pred, gt, mask) == fn(*rest, np.ones(4 * 256 - 1))
 
 
 # ---- miou loop oracle ---------------------------------------------------------------

@@ -7,6 +7,7 @@ from pmx.errors import ContractError
 from pmx.formats import read_checkpoint, write_checkpoint
 from pmx.model import (Model, ModelConfig, config_from_meta, load_model,
                        save_model)
+from pmx.rng import SplitMix64
 from pmx.tensor import Tensor
 
 
@@ -110,6 +111,48 @@ def test_opt_state_roundtrip(tmp_path):
     _, opt = load_model(path)
     assert int(opt["step"]) == 5
     np.testing.assert_array_equal(opt["m/enc/stem1.weight"], np.ones(4, dtype=np.float32))
+
+
+@pytest.mark.parametrize("task,head", [("seg", "cluster"), ("depth", "cluster"),
+                                       ("normal", "cluster"), ("normal", "baseline")])
+def test_load_model_draws_no_weights(tmp_path, monkeypatch, task, head):
+    path = str(tmp_path / "model.pmxc")
+    model = Model(ModelConfig(task=task, head=head), seed=4)
+    state = {"step": np.float32(3.0), "m/enc/out.w": np.full(5, 0.25, dtype=np.float32)}
+    save_model(path, model, state)
+
+    def no_draw(self, n):
+        raise AssertionError("load_model drew seeded weights")
+    monkeypatch.setattr(SplitMix64, "normals", no_draw)
+    loaded, opt = load_model(path)
+    fresh = loaded.params()
+    assert sorted(fresh) == sorted(model.params())
+    for name, p in model.params().items():
+        assert fresh[name].data.dtype == p.data.dtype
+        assert np.array_equal(fresh[name].data, p.data), name
+    assert set(opt) == set(state)
+    for name, arr in state.items():
+        assert np.array_equal(opt[name], arr)
+
+
+def test_training_step_gradients_share_no_memory(rng):
+    model = Model(ModelConfig(task="normal"), seed=0)
+    out = model.train_outputs(_images(rng))["normal"]
+    target = Tensor(rng.normal(size=out.shape))
+    loss = ((out - target) * (out - target)).mean()
+    loss.backward()
+    seen, stack, grads = set(), [loss], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node.grad is not None:
+                grads.append(node.grad)
+            stack.extend(node._parents)
+    assert len(grads) > 100
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
 
 
 def test_load_state_missing_and_mismatched(tmp_path):

@@ -277,6 +277,57 @@ def test_grad_accumulates_over_reuse():
     np.testing.assert_allclose(a.grad, [7.0])
 
 
+def _copying_accum(self, g, owned=False):
+    # oracle: the accumulation before ops could hand over their own arrays
+    if self.grad is None:
+        self.grad = g.astype(self.data.dtype, copy=True)
+    else:
+        self.grad += g
+
+
+def _graph(root):
+    seen, stack, nodes = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def _conv_fan_out():
+    """x feeds two convs and an add; returns the leaves and the loss."""
+    x = parameter(_n(40, 2, 3, 8, 8))
+    w1, w2 = parameter(_n(41, 4, 3, 3, 3)), parameter(_n(42, 4, 3, 3, 3))
+    b1, b2 = parameter(_n(43, 4)), parameter(_n(44, 4))
+    y = x.conv2d(w1, b1) + x.conv2d(w2, b2, stride=2).bilinear_upsample2x()
+    head = y.reshape(2, 4 * 64).matmul(Tensor(_n(45, 256, 5)))
+    loss = (y * y).sum() + (x + x * 0.5).relu().sum() + head.sum()
+    return (x, w1, w2, b1, b2), loss
+
+
+def test_owned_gradients_are_bit_identical_to_copies(monkeypatch):
+    leaves, loss = _conv_fan_out()
+    loss.backward()
+    got = [t.grad for t in leaves]
+    monkeypatch.setattr(Tensor, "_accum", _copying_accum)
+    leaves, loss = _conv_fan_out()
+    loss.backward()
+    for g, t in zip(got, leaves):
+        assert g.dtype == t.grad.dtype and np.array_equal(g, t.grad)
+
+
+def test_no_two_gradients_share_memory():
+    _, loss = _conv_fan_out()
+    loss.backward()
+    grads = [t.grad for t in _graph(loss) if t.grad is not None]
+    assert len(grads) > 10
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
 def test_long_chain_backward_is_iterative():
     a = parameter(np.array([1.0]))
     y = a

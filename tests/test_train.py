@@ -1,11 +1,14 @@
 """Optimizer behavior, deterministic ordering, resume, and the harnesses."""
 
 import csv
+import struct
 
 import numpy as np
 import pytest
 
 from pmx.errors import ContractError, TrainingDiverged
+from pmx.formats import fnv1a64, read_checkpoint, write_checkpoint
+from pmx.losses import LossConfig
 from pmx.metrics import miou
 from pmx.model import Model, ModelConfig
 from pmx.tensor import Tensor, parameter
@@ -241,6 +244,73 @@ def test_resume_with_float32_inexact_depth_range_continues_bit_identically(tiny_
     resumed = train(samples, full, resume_from=ckpt, **rng)
     solid = train(samples, full, **rng)
     assert resumed.trace == [t for t in solid.trace if t[0] >= 3]
+
+
+@pytest.mark.parametrize("change,named", [
+    (dict(seed=1), ["seed 0 (this run: 1)"]),
+    (dict(batch=2), ["batch 4 (this run: 2)"]),
+    (dict(lr=1e-3), ["lr 0.0005 (this run: 0.001)"]),
+    (dict(clip_norm=0.0), ["clip_norm 10 (this run: 0)"]),
+    (dict(weight_decay=0.0, backbone_lr_mult=1.0), ["weight_decay 0.05", "backbone_lr_mult 0.1"]),
+    (dict(loss=LossConfig(silog_lambda=0.25, depth_weights=(1.0, 0.5, 1.0))),
+     ["loss.silog_lambda 0.5 (this run: 0.25)", "loss.depth_weights 1, 1, 1 (this run: 1, 0.5, 1)"]),
+])
+def test_resume_refuses_different_training_settings(tiny_split, tmp_path, change, named):
+    samples, _ = tiny_split
+    ckpt = str(tmp_path / "depth.ckpt")
+    train(samples, TrainConfig(task="depth", steps=2, batch=4), out_path=ckpt)
+    with pytest.raises(ContractError, match="different settings") as err:
+        train(samples, TrainConfig(task="depth", steps=4, **{"batch": 4, **change}),
+              resume_from=ckpt)
+    for words in named:
+        assert words in str(err.value)
+    assert "steps" not in str(err.value)
+
+
+def test_resume_tells_apart_seeds_float32_cannot(tiny_split, tmp_path):
+    # 2**40 and 2**40 + 1 are the same float32; the seed's 16-bit limbs are not
+    samples, _ = tiny_split
+    ckpt = str(tmp_path / "depth.ckpt")
+    train(samples, TrainConfig(task="depth", steps=1, batch=4, seed=2**40), out_path=ckpt)
+    with pytest.raises(ContractError, match=f"seed {2**40} \\(this run: {2**40 + 1}\\)"):
+        train(samples, TrainConfig(task="depth", steps=2, batch=4, seed=2**40 + 1),
+              resume_from=ckpt)
+    resumed = train(samples, TrainConfig(task="depth", steps=2, batch=4, seed=2**40),
+                    resume_from=ckpt)
+    assert [t[0] for t in resumed.trace] == [1]
+
+
+def test_resume_allows_different_steps_and_eval_every(tiny_split, tmp_path):
+    samples, _ = tiny_split
+    ckpt = str(tmp_path / "depth.ckpt")
+    train(samples, TrainConfig(task="depth", steps=2, batch=4, seed=4), out_path=ckpt)
+    full = TrainConfig(task="depth", steps=4, batch=4, seed=4, eval_every=1)
+    resumed = train(samples, full, val_samples=samples[:2], resume_from=ckpt)
+    assert [t[0] for t in resumed.trace] == [2, 3]
+    assert [step for step, _ in resumed.reports] == [3, 4]
+
+
+def _without_run_settings(path, version):
+    """Rewrite a checkpoint without its train/ entries, as a file written
+    before they existed: version 2 (CRC-32) or version 1 (FNV-1a)."""
+    tensors = {n: a for n, a in read_checkpoint(path).items() if not n.startswith("train/")}
+    write_checkpoint(path, tensors)
+    if version == 1:
+        blob = bytearray(open(path, "rb").read()[:-8])
+        blob[4:8] = struct.pack("<I", 1)
+        open(path, "wb").write(bytes(blob) + struct.pack("<Q", fnv1a64(bytes(blob))))
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_resume_from_a_file_without_run_settings_continues(tiny_split, tmp_path, version):
+    samples, _ = tiny_split
+    ckpt = str(tmp_path / "mid.ckpt")
+    train(samples, TrainConfig(task="depth", steps=2, batch=4, seed=6), out_path=ckpt)
+    _without_run_settings(ckpt, version)
+    assert not any(n.startswith("train/") for n in read_checkpoint(ckpt))
+    full = TrainConfig(task="depth", steps=4, batch=4, seed=6)
+    resumed = train(samples, full, resume_from=ckpt)
+    assert resumed.trace == [t for t in train(samples, full).trace if t[0] >= 2]
 
 
 def test_short_depth_training_reduces_loss(tiny_split):
