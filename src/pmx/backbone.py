@@ -24,7 +24,6 @@ covered by finite-difference gradient checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
@@ -36,83 +35,80 @@ from .tensor import Tensor, bias_add, one_hot, parameter
 STRIDE = 4  # pixels per feature-map cell along each axis
 
 
-@dataclass(frozen=True)
-class BackboneConfig:
-    widths: Tuple[int, int, int] = (32, 64, 64)
-    d: int = 64
-    n_dec: int = 2
-    k: int = 4
-    variant: str = "kmeans"
+class Params:
+    """Makes each parameter under its full checkpoint name and records it in
+    ``made``, which every ``sub`` view shares.  ``source`` is a SplitMix64 to
+    draw new weights from in creation order, or a checkpoint's entries, taken
+    as stored; a missing entry or a wrong shape raises ContractError."""
 
-    def validate(self) -> None:
-        if any(w <= 0 for w in self.widths):
-            raise ContractError(f"widths must be positive: {self.widths}")
-        if self.n_dec < 1:
-            raise ContractError(f"n_dec {self.n_dec} must be >= 1")
-        if self.k < 1:
-            raise ContractError(f"cluster count {self.k} must be >= 1")
-        if self.variant not in ("kmeans", "standard"):
-            raise ContractError(f"unknown attention variant {self.variant!r}")
+    def __init__(self, source, made: Dict[str, Tensor] = None, prefix: str = ""):
+        self.source = source
+        self.made = {} if made is None else made
+        self.prefix = prefix
 
+    def sub(self, prefix: str) -> "Params":
+        return Params(self.source, self.made, self.prefix + prefix)
 
-def normal_param(gen: SplitMix64, shape: Tuple[int, ...], std: float) -> Tensor:
-    n = int(np.prod(shape))
-    return parameter(gen.normals(n).reshape(shape) * std)
+    def normal(self, name: str, shape: Tuple[int, ...], std: float) -> Tensor:
+        return self._make(name, shape,
+                          lambda: self.source.normals(math.prod(shape)).reshape(shape) * std)
+
+    def full(self, name: str, shape: Tuple[int, ...], value: float) -> Tensor:
+        return self._make(name, shape, lambda: np.full(shape, value))
+
+    def _make(self, name: str, shape: Tuple[int, ...], init) -> Tensor:
+        name = self.prefix + name
+        if isinstance(self.source, SplitMix64):
+            arr = init()
+        else:
+            arr = self.source.get(name)
+            if arr is None or arr.shape != shape:
+                got = "missing" if arr is None else f"shape {arr.shape}"
+                raise ContractError(f"checkpoint parameter {name}: {got}, model {shape}")
+        self.made[name] = parameter(arr)
+        return self.made[name]
 
 
 class Conv3x3:
-    def __init__(self, gen: SplitMix64, cin: int, cout: int, stride: int = 1,
-                 std: float = None):
+    def __init__(self, p: Params, cin: int, cout: int, stride: int = 1, std: float = None):
         self.stride = stride
-        if std is None:
-            std = math.sqrt(2.0 / (cin * 9))
-        self.weight = normal_param(gen, (cout, cin, 3, 3), std)
-        self.bias = parameter(np.zeros(cout))
+        std = math.sqrt(2.0 / (cin * 9)) if std is None else std
+        self.weight = p.normal("w", (cout, cin, 3, 3), std)
+        self.bias = p.full("b", (cout,), 0.0)
 
     def __call__(self, x: Tensor) -> Tensor:
         return x.conv2d(self.weight, self.bias, stride=self.stride)
-
-    def params(self, prefix: str) -> Dict[str, Tensor]:
-        return {f"{prefix}.w": self.weight, f"{prefix}.b": self.bias}
 
 
 class Residual:
     """conv-relu-conv with an additive shortcut, relu after the join.
     The shortcut is identity when shape allows, else a strided 3x3 projection."""
 
-    def __init__(self, gen: SplitMix64, cin: int, cout: int, stride: int = 1):
-        self.conv1 = Conv3x3(gen, cin, cout, stride)
-        self.conv2 = Conv3x3(gen, cout, cout, 1)
+    def __init__(self, p: Params, cin: int, cout: int, stride: int = 1):
+        self.conv1 = Conv3x3(p.sub("c1."), cin, cout, stride)
+        self.conv2 = Conv3x3(p.sub("c2."), cout, cout, 1)
         self.proj = None
         if stride != 1 or cin != cout:
-            self.proj = Conv3x3(gen, cin, cout, stride)
+            self.proj = Conv3x3(p.sub("proj."), cin, cout, stride)
 
     def __call__(self, x: Tensor) -> Tensor:
         y = self.conv2(self.conv1(x).relu())
         s = x if self.proj is None else self.proj(x)
         return (y + s).relu()
 
-    def params(self, prefix: str) -> Dict[str, Tensor]:
-        out = {}
-        out.update(self.conv1.params(f"{prefix}.c1"))
-        out.update(self.conv2.params(f"{prefix}.c2"))
-        if self.proj is not None:
-            out.update(self.proj.params(f"{prefix}.proj"))
-        return out
-
 
 class Encoder:
-    def __init__(self, gen: SplitMix64, cfg: BackboneConfig):
-        w0, w1, w2 = cfg.widths
-        self.stem1 = Conv3x3(gen, 3, w0, 2)
-        self.stem2 = Conv3x3(gen, w0, w0, 2)
-        self.stage1 = Residual(gen, w0, w1, 2)
-        self.stage2 = Residual(gen, w1, w2, 1)
-        self.skip = Conv3x3(gen, w0, w2, 1)
-        self.refine = Residual(gen, w2, w2, 1)
+    def __init__(self, p: Params, widths: Tuple[int, int, int], d: int):
+        w0, w1, w2 = widths
+        self.stem1 = Conv3x3(p.sub("stem1."), 3, w0, 2)
+        self.stem2 = Conv3x3(p.sub("stem2."), w0, w0, 2)
+        self.stage1 = Residual(p.sub("stage1."), w0, w1, 2)
+        self.stage2 = Residual(p.sub("stage2."), w1, w2, 1)
+        self.skip = Conv3x3(p.sub("skip."), w0, w2, 1)
+        self.refine = Residual(p.sub("refine."), w2, w2, 1)
         # small init so the embedding-vs-query bilinear form starts near zero
         # and the cluster softmax opens up uniform instead of saturated
-        self.out = Conv3x3(gen, w2, cfg.d, 1, std=0.01)
+        self.out = Conv3x3(p.sub("out."), w2, d, 1, std=0.01)
 
     def __call__(self, images: Tensor) -> Tensor:
         """(B, 3, H, W) -> (B, D, H/4, W/4); H, W must be multiples of 4."""
@@ -136,42 +132,24 @@ class Encoder:
         b, d, h4, w4 = fmap.shape
         return fmap.reshape(b, d, h4 * w4).transpose_last2(), (h4, w4)
 
-    def params(self) -> Dict[str, Tensor]:
-        out = {}
-        out.update(self.stem1.params("enc/stem1"))
-        out.update(self.stem2.params("enc/stem2"))
-        out.update(self.stage1.params("enc/stage1"))
-        out.update(self.stage2.params("enc/stage2"))
-        out.update(self.skip.params("enc/skip"))
-        out.update(self.refine.params("enc/refine"))
-        out.update(self.out.params("enc/out"))
-        return out
-
 
 class Linear:
-    def __init__(self, gen: SplitMix64, fan_in: int, fan_out: int, std: float = None):
-        if std is None:
-            std = math.sqrt(2.0 / fan_in)
-        self.weight = normal_param(gen, (fan_in, fan_out), std)
-        self.bias = parameter(np.zeros(fan_out))
+    def __init__(self, p: Params, fan_in: int, fan_out: int, std: float = None):
+        std = math.sqrt(2.0 / fan_in) if std is None else std
+        self.weight = p.normal("w", (fan_in, fan_out), std)
+        self.bias = p.full("b", (fan_out,), 0.0)
 
     def __call__(self, x: Tensor) -> Tensor:
         return bias_add(x.matmul(self.weight), self.bias)
 
-    def params(self, prefix: str) -> Dict[str, Tensor]:
-        return {f"{prefix}.w": self.weight, f"{prefix}.b": self.bias}
-
 
 class LayerNorm:
-    def __init__(self, d: int):
-        self.gamma = parameter(np.ones(d))
-        self.beta = parameter(np.zeros(d))
+    def __init__(self, p: Params, d: int):
+        self.gamma = p.full("g", (d,), 1.0)
+        self.beta = p.full("b", (d,), 0.0)
 
     def __call__(self, x: Tensor) -> Tensor:
         return x.layernorm(self.gamma, self.beta)
-
-    def params(self, prefix: str) -> Dict[str, Tensor]:
-        return {f"{prefix}.g": self.gamma, f"{prefix}.b": self.beta}
 
 
 def kmeans_read(q: Tensor, f: Tensor) -> Tensor:
@@ -194,14 +172,14 @@ def standard_read(q: Tensor, f: Tensor) -> Tensor:
 
 
 class DecoderBlock:
-    def __init__(self, gen: SplitMix64, d: int, variant: str):
+    def __init__(self, p: Params, d: int, variant: str):
         self.variant = variant
         self.d = d
-        self.ln1 = LayerNorm(d)
-        self.ln2 = LayerNorm(d)
-        self.ln3 = LayerNorm(d)
-        self.ffn1 = Linear(gen, d, 2 * d)
-        self.ffn2 = Linear(gen, 2 * d, d, std=math.sqrt(1.0 / (2 * d)))
+        self.ln1 = LayerNorm(p.sub("ln1."), d)
+        self.ln2 = LayerNorm(p.sub("ln2."), d)
+        self.ln3 = LayerNorm(p.sub("ln3."), d)
+        self.ffn1 = Linear(p.sub("ffn1."), d, 2 * d)
+        self.ffn2 = Linear(p.sub("ffn2."), 2 * d, d, std=math.sqrt(1.0 / (2 * d)))
 
     def __call__(self, q: Tensor, f: Tensor) -> Tensor:
         if q.shape[1] < 1:
@@ -213,25 +191,15 @@ class DecoderBlock:
         q = self.ln3(q + self.ffn2(self.ffn1(q).gelu()))
         return q
 
-    def params(self, prefix: str) -> Dict[str, Tensor]:
-        out = {}
-        out.update(self.ln1.params(f"{prefix}.ln1"))
-        out.update(self.ln2.params(f"{prefix}.ln2"))
-        out.update(self.ln3.params(f"{prefix}.ln3"))
-        out.update(self.ffn1.params(f"{prefix}.ffn1"))
-        out.update(self.ffn2.params(f"{prefix}.ffn2"))
-        return out
-
 
 class Backbone:
     """Full image-to-(F, Q) stack: encoder, query table, decoder blocks."""
 
-    def __init__(self, cfg: BackboneConfig, gen: SplitMix64):
-        cfg.validate()
-        self.cfg = cfg
-        self.encoder = Encoder(gen, cfg)
-        self.queries = normal_param(gen, (cfg.k, cfg.d), 0.02)
-        self.blocks = [DecoderBlock(gen, cfg.d, cfg.variant) for _ in range(cfg.n_dec)]
+    def __init__(self, p: Params, widths: Tuple[int, int, int], d: int, n_dec: int, k: int,
+                 variant: str):
+        self.encoder = Encoder(p.sub("enc/"), widths, d)
+        self.queries = p.normal("dec/queries", (k, d), 0.02)
+        self.blocks = [DecoderBlock(p.sub(f"dec/block{i}."), d, variant) for i in range(n_dec)]
 
     def __call__(self, images: Tensor) -> Tuple[Tensor, Tensor, Tuple[int, int]]:
         f, grid = self.encoder.rows(images)
@@ -239,10 +207,3 @@ class Backbone:
         for block in self.blocks:
             q = block(q, f)
         return f, q, grid
-
-    def params(self) -> Dict[str, Tensor]:
-        out = self.encoder.params()
-        out["dec/queries"] = self.queries
-        for i, block in enumerate(self.blocks):
-            out.update(block.params(f"dec/block{i}"))
-        return out

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import asdict
 from typing import List, Optional
@@ -26,7 +27,7 @@ from .errors import ContractError, FormatError, TrainingDiverged
 from .formats import read_dataset, write_dataset
 from .losses import LossConfig
 from .metrics import METRIC_KEYS
-from .model import load_model
+from .model import HEAD_KINDS, TASKS, VARIANTS, load_model
 from .scene import CLASS_NAMES, N_CLASSES, SceneConfig, generate_split
 from .tensor import Tensor
 from .train import (LR_PRESETS, TrainConfig, ablate_k, compare_baseline,
@@ -62,7 +63,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="print a MetricReport as one JSON line")
-    p.add_argument("--task", required=True, choices=("seg", "depth", "normal"))
+    p.add_argument("--task", required=True, choices=TASKS)
     p.add_argument("--data", default="data.pmxd")
     p.add_argument("--ckpt", default="model.pmxc")
     p.add_argument("--oracle", action="store_true",
@@ -90,12 +91,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--task", required=True, choices=("seg", "depth", "normal"))
+    p.add_argument("--task", required=True, choices=TASKS)
     p.add_argument("--data", default="data.pmxd")
     p.add_argument("--val", default=None, help="validation dataset path")
     p.add_argument("--k", type=int, default=4)
-    p.add_argument("--variant", choices=("kmeans", "standard"), default="kmeans")
-    p.add_argument("--head", choices=("cluster", "baseline"), default="cluster")
+    p.add_argument("--variant", choices=VARIANTS, default="kmeans")
+    p.add_argument("--head", choices=HEAD_KINDS, default="cluster")
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--batch", type=int, default=8)
     p.add_argument("--lr", type=_lr, default=LR_PRESETS["pretrain"],
@@ -191,7 +192,6 @@ def _load_indexed(args):
 
 
 def cmd_predict(args) -> int:
-    import os
     header, model, sample, images = _load_indexed(args)
     task = model.cfg.task
     pred = model.predict(images)[0]
@@ -212,7 +212,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_probmaps(args) -> int:
-    import os
     _, model, sample, images = _load_indexed(args)
     panels = model.probability_panels(images)[0]          # (K, H, W)
     sums = panels.sum(axis=0)

@@ -35,6 +35,7 @@ DATASET_MAGIC = b"PMXD"
 CHECKPOINT_MAGIC = b"PMXC"
 DATASET_VERSION = 1
 CHECKPOINT_VERSION = 2
+IGNORE_LABEL = 255  # the one label byte allowed at or above the header's class count
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -107,6 +108,8 @@ def write_dataset(
 
 
 def read_dataset(path: str) -> Tuple[DatasetHeader, List[Sample]]:
+    """Header and samples; a malformed header, a wrong length or a label
+    outside the header's classes (other than IGNORE_LABEL) is a FormatError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != DATASET_MAGIC:
@@ -132,6 +135,9 @@ def read_dataset(path: str) -> Tuple[DatasetHeader, List[Sample]]:
         image = np.frombuffer(blob, "<f4", hw * 3, off).reshape(h, w, 3).copy()
         off += hw * 12
         labels = np.frombuffer(blob, np.uint8, hw, off).reshape(h, w).copy()
+        if labels.max() >= classes and (labels[labels != IGNORE_LABEL] >= classes).any():
+            raise FormatError(f"{path}: sample {len(samples)} has labels outside "
+                              f"the {classes} classes (ignore label {IGNORE_LABEL})")
         off += hw
         depth = np.frombuffer(blob, "<f4", hw, off).reshape(h, w).copy()
         off += hw * 4

@@ -30,13 +30,12 @@ is included for comparison runs.
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .backbone import Linear
+from .backbone import Linear, Params
 from .errors import ContractError, ShapeError
-from .rng import SplitMix64
 from .tensor import Tensor
 
 
@@ -91,19 +90,14 @@ def bins_from_logits(logits: Tensor, d_min: float, d_max: float) -> Tuple[Tensor
 class BinsHead:
     """Two-layer MLP from each cluster center to a bin logit."""
 
-    def __init__(self, gen: SplitMix64, d: int):
-        self.fc1 = Linear(gen, d, d)
-        self.fc2 = Linear(gen, d, 1, std=math.sqrt(1.0 / d))
+    def __init__(self, p: Params, d: int):
+        self.fc1 = Linear(p.sub("fc1."), d, d)
+        self.fc2 = Linear(p.sub("fc2."), d, 1, std=math.sqrt(1.0 / d))
 
     def __call__(self, q: Tensor, d_min: float, d_max: float) -> Tuple[Tensor, Tensor]:
         logits = self.fc2(self.fc1(q).gelu())        # (B, K, 1)
         logits = logits.reshape(q.shape[0], q.shape[1])
         return bins_from_logits(logits, d_min, d_max)
-
-    def params(self, prefix: str = "head/bins") -> Dict[str, Tensor]:
-        out = self.fc1.params(f"{prefix}.fc1")
-        out.update(self.fc2.params(f"{prefix}.fc2"))
-        return out
 
 
 def depth_compose(p: Tensor, b: Tensor, grid: Tuple[int, int]) -> Tensor:
@@ -122,18 +116,13 @@ def depth_compose(p: Tensor, b: Tensor, grid: Tuple[int, int]) -> Tensor:
 class NormalHead:
     """Two-layer MLP from each cluster center to a unit sphere-segment vector."""
 
-    def __init__(self, gen: SplitMix64, d: int):
-        self.fc1 = Linear(gen, d, d)
-        self.fc2 = Linear(gen, d, 3, std=math.sqrt(1.0 / d))
+    def __init__(self, p: Params, d: int):
+        self.fc1 = Linear(p.sub("fc1."), d, d)
+        self.fc2 = Linear(p.sub("fc2."), d, 3, std=math.sqrt(1.0 / d))
 
     def __call__(self, q: Tensor) -> Tensor:
         raw = self.fc2(self.fc1(q).gelu())           # (B, K, 3)
         return _unit(raw, axis=-1)
-
-    def params(self, prefix: str = "head/normal") -> Dict[str, Tensor]:
-        out = self.fc1.params(f"{prefix}.fc1")
-        out.update(self.fc2.params(f"{prefix}.fc2"))
-        return out
 
 
 def _unit(v: Tensor, axis: int) -> Tensor:
@@ -172,13 +161,13 @@ class BaselineHead:
     normal: L2-normalized 3-vector.
     """
 
-    def __init__(self, gen: SplitMix64, d: int, task: str, classes: int,
+    def __init__(self, p: Params, d: int, task: str, classes: int,
                  d_min: float = 0.0, d_max: float = 1.0):
         self.task = task
         self.d_min = d_min
         self.d_max = d_max
         out_dim = {"seg": classes, "depth": 1, "normal": 3}[task]
-        self.fc = Linear(gen, d, out_dim, std=math.sqrt(1.0 / d))
+        self.fc = Linear(p.sub("fc."), d, out_dim, std=math.sqrt(1.0 / d))
 
     def __call__(self, f: Tensor, grid: Tuple[int, int]) -> Tensor:
         planes = upsample_planes(self.fc(f), grid)        # (B, C, HW)
@@ -189,6 +178,3 @@ class BaselineHead:
             s = planes.reshape(b, n).sigmoid()
             return s * (self.d_max - self.d_min) + self.d_min
         return _unit(planes, axis=1).transpose_last2()    # (B, HW, 3)
-
-    def params(self, prefix: str = "head/baseline") -> Dict[str, Tensor]:
-        return self.fc.params(f"{prefix}.fc")

@@ -53,11 +53,18 @@ class MetricReport:
 
 def confusion_matrix(pred: np.ndarray, gt: np.ndarray, classes: int,
                      ignore_label: int = 255) -> np.ndarray:
+    """(classes, classes) counts, ground truth by row, over the pixels whose
+    label is not ``ignore_label``; any other label or prediction outside
+    [0, classes) raises ContractError."""
     pred = np.asarray(pred).reshape(-1)
     gt = np.asarray(gt).reshape(-1)
     valid = gt != ignore_label
-    idx = gt[valid].astype(np.int64) * classes + pred[valid].astype(np.int64)
-    return np.bincount(idx, minlength=classes * classes).reshape(classes, classes)
+    g, p = gt[valid].astype(np.int64), pred[valid].astype(np.int64)
+    for name, ids in (("label", g), ("prediction", p)):
+        if ids.size and (ids.min() < 0 or ids.max() >= classes):
+            raise ContractError(f"{name} ids span {ids.min()}..{ids.max()}, "
+                                f"outside the {classes} classes")
+    return np.bincount(g * classes + p, minlength=classes * classes).reshape(classes, classes)
 
 
 def miou(pred: np.ndarray, gt: np.ndarray, classes: int,

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import formats, heads
-from .backbone import Backbone, BackboneConfig, Encoder
+from .backbone import Backbone, Encoder, Params
 from .errors import ContractError
 from .rng import SplitMix64, mix_seed_index
 from .tensor import Tensor, no_grad
@@ -48,47 +48,45 @@ class ModelConfig:
     d_max: float = 10.0
 
     def validate(self) -> None:
-        if self.task not in TASKS:
-            raise ContractError(f"unknown task {self.task!r}")
-        if self.head not in HEAD_KINDS:
-            raise ContractError(f"unknown head kind {self.head!r}")
+        for name, value, choices in (("task", self.task, TASKS),
+                                     ("head kind", self.head, HEAD_KINDS),
+                                     ("attention variant", self.variant, VARIANTS)):
+            if value not in choices:
+                raise ContractError(f"unknown {name} {value!r}")
         if self.task == "seg" and self.head == "cluster" and self.k != self.classes:
             raise ContractError(
                 f"segmentation requires K = C (one query per class): K={self.k}, C={self.classes}")
-        if self.d < 1 or self.classes < 1:
-            raise ContractError(f"feature size {self.d} and class count {self.classes} must be >= 1")
-        if len(self.widths) != 3:
-            raise ContractError(f"widths must be three channel counts: {self.widths}")
+        sizes = dict(k=self.k, d=self.d, n_dec=self.n_dec, classes=self.classes)
+        if len(self.widths) != 3 or min(*sizes.values(), *self.widths) < 1:
+            raise ContractError(f"sizes {sizes} and the three widths {self.widths} must be >= 1")
         if not 0 < self.d_min < self.d_max < math.inf:
             raise ContractError(f"depth range [{self.d_min}, {self.d_max}] invalid")
-        BackboneConfig(self.widths, self.d, self.n_dec, self.k, self.variant).validate()
 
 
 class Model:
     def __init__(self, cfg: ModelConfig, seed: int = 0):
-        self._build(cfg, SplitMix64(seed), SplitMix64(mix_seed_index(seed, 0x6EAD)))
+        p = Params(SplitMix64(seed))
+        self._build(cfg, p, Params(SplitMix64(mix_seed_index(seed, 0x6EAD)), p.made))
 
-    def _build(self, cfg: ModelConfig, gen, hgen) -> None:
-        """Create every module, drawing backbone weights from gen and head
-        weights from hgen."""
+    def _build(self, cfg: ModelConfig, p: Params, hp: Params) -> None:
+        """Create every module, the backbone's parameters through p and the
+        head's through hp; both record into one dict."""
         cfg.validate()
         self.cfg = cfg
-        bb = BackboneConfig(cfg.widths, cfg.d, cfg.n_dec, cfg.k, cfg.variant)
+        self._params = p.made
         self.backbone: Optional[Backbone] = None
         self.encoder: Optional[Encoder] = None
-        if cfg.head == "cluster":
-            self.backbone = Backbone(bb, gen)
-        else:
-            self.encoder = Encoder(gen, bb)
         self.bins_head = self.normal_head = self.baseline_head = None
-        if cfg.head == "cluster":
-            if cfg.task == "depth":
-                self.bins_head = heads.BinsHead(hgen, cfg.d)
-            elif cfg.task == "normal":
-                self.normal_head = heads.NormalHead(hgen, cfg.d)
-        else:
+        if cfg.head == "baseline":
+            self.encoder = Encoder(p.sub("enc/"), cfg.widths, cfg.d)
             self.baseline_head = heads.BaselineHead(
-                hgen, cfg.d, cfg.task, cfg.classes, cfg.d_min, cfg.d_max)
+                hp.sub("head/baseline."), cfg.d, cfg.task, cfg.classes, cfg.d_min, cfg.d_max)
+            return
+        self.backbone = Backbone(p, cfg.widths, cfg.d, cfg.n_dec, cfg.k, cfg.variant)
+        if cfg.task == "depth":
+            self.bins_head = heads.BinsHead(hp.sub("head/bins."), cfg.d)
+        elif cfg.task == "normal":
+            self.normal_head = heads.NormalHead(hp.sub("head/normal."), cfg.d)
 
     # ---- forward ---------------------------------------------------------
 
@@ -161,27 +159,8 @@ class Model:
     # ---- parameters ------------------------------------------------------------
 
     def params(self) -> Dict[str, Tensor]:
-        out: Dict[str, Tensor] = {}
-        if self.backbone is not None:
-            out.update(self.backbone.params())
-        else:
-            out.update(self.encoder.params())
-        for head in (self.bins_head, self.normal_head, self.baseline_head):
-            if head is not None:
-                out.update(head.params())
-        return out
-
-    def load_state(self, tensors: Dict[str, np.ndarray]) -> None:
-        params = self.params()
-        missing = sorted(set(params) - set(tensors))
-        if missing:
-            raise ContractError(f"checkpoint missing parameters {missing[:4]}")
-        for name, p in params.items():
-            arr = tensors[name]
-            if arr.shape != p.shape:
-                raise ContractError(f"{name}: checkpoint shape {arr.shape} vs model {p.shape}")
-            p.data = arr.astype(p.data.dtype)
-            p.grad = None
+        """Every parameter under its checkpoint name, in creation order."""
+        return self._params
 
 
 # ---- checkpoint glue ------------------------------------------------------------
@@ -279,15 +258,6 @@ def _check_dims(cfg: ModelConfig, tensors: Dict[str, np.ndarray]) -> None:
         raise ContractError(f"checkpoint holds {len(found)} decoder blocks, meta/ implies {blocks}")
 
 
-class _ZeroSource:
-    """Stands in for a SplitMix64 when a checkpoint is about to overwrite
-    every weight: its "normals" are zeros, so building costs no draw."""
-
-    @staticmethod
-    def normals(n: int) -> np.ndarray:
-        return np.zeros(n)
-
-
 def _run_tensors(run: Dict[str, Sequence[float]]) -> Dict[str, np.ndarray]:
     return {f"train/{n}": np.asarray(v, dtype=np.float32).reshape(-1) for n, v in run.items()}
 
@@ -317,15 +287,14 @@ def save_model(path: str, model: Model, opt_state: Dict[str, np.ndarray] = None,
 
 def load_checkpoint(path: str) -> Tuple[Model, Dict[str, np.ndarray], Dict[str, List[float]]]:
     """Rebuild a model from a checkpoint; returns it, its opt/ state and its
-    train/ settings (either may be empty).  The parameter tensors are built
-    without drawing weights, since the checkpoint overwrites every one."""
+    train/ settings (either may be empty).  Each parameter takes its
+    checkpoint entry as read: no weight is drawn or copied."""
     tensors = formats.read_checkpoint(path)
     cfg = config_from_meta(tensors)
     _check_dims(cfg, tensors)
     model = Model.__new__(Model)
-    zeros = _ZeroSource()
-    model._build(cfg, zeros, zeros)
-    model.load_state(tensors)
+    stored = Params(tensors)
+    model._build(cfg, stored, stored)
     opt = {n[4:]: a for n, a in tensors.items() if n.startswith("opt/")}
     return model, opt, _run_values(tensors)
 

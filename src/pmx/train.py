@@ -119,10 +119,21 @@ class AdamW:
         return out
 
     def load(self, state: Dict[str, np.ndarray]) -> None:
-        self.t = int(state["step"])
-        for n in self.names:
-            self.m[n] = state[f"m/{n}"].astype(self.m[n].dtype).reshape(self.m[n].shape)
-            self.v[n] = state[f"v/{n}"].astype(self.v[n].dtype).reshape(self.v[n].shape)
+        """Continue from a saved ``state()``; an entry that is missing, a
+        moment not of its parameter's shape or a step that is not a whole
+        number >= 0 raises ContractError naming it.  A moment already of its
+        parameter's dtype is kept, not copied."""
+        step = np.asarray(state.get("step", []), dtype=np.float64).reshape(-1)
+        if step.size != 1 or not (step[0] >= 0 and float(step[0]).is_integer()):
+            raise ContractError(f"checkpoint opt/step {step.tolist()} is not a whole number >= 0")
+        self.t = int(step[0])
+        for moments, key in ((self.m, "m"), (self.v, "v")):
+            for n in self.names:
+                arr, p = state.get(f"{key}/{n}"), self.params[n].data
+                if arr is None or arr.shape != p.shape:
+                    got = "missing" if arr is None else f"shape {arr.shape}"
+                    raise ContractError(f"checkpoint opt/{key}/{n}: {got}, parameter {p.shape}")
+                moments[n] = np.asarray(arr, dtype=p.dtype)
 
 
 # ---- deterministic sample order -------------------------------------------------

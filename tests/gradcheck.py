@@ -23,9 +23,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import precision
-from .rng import SplitMix64, mix_seed_index
-from .tensor import Tensor, constant, no_grad, parameter
+from pmx import precision
+from pmx.rng import SplitMix64, mix_seed_index
+from pmx.tensor import Tensor, constant, no_grad, parameter
 
 
 def gradcheck(

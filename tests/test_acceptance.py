@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from pmx import precision
-from pmx.gradcheck import gradcheck
+from pmx.backbone import Params
 from pmx.heads import (BinsHead, NormalHead, bins_from_logits, depth_compose,
                        normal_compose, probability_map, upsample_rows)
 from pmx.losses import (LossConfig, charbonnier, multiscale_grad, normal_l2,
@@ -27,6 +27,8 @@ from pmx.rng import SplitMix64
 from pmx.scene import SceneConfig, generate_split
 from pmx.tensor import Tensor, bias_add, one_hot
 from pmx.train import TrainConfig, ablate_k, evaluate, train
+
+from gradcheck import gradcheck
 
 pytestmark = pytest.mark.slow
 
@@ -107,7 +109,8 @@ def test_gradient_check_all_ops_and_composed_head_losses():
         gt_d = comp.uniform(0.8, 9.5, size=(1, 64))
         mask = (comp.random((1, 64)) > 0.1).astype(np.float64)
         with precision.verify():
-            bh = BinsHead(SplitMix64(5), 4)
+            bins_p = Params(SplitMix64(5))
+            bh = BinsHead(bins_p, 4)
 
         def depth_fn(f, q):
             b, _ = bh(q, 0.5, 10.0)
@@ -115,11 +118,12 @@ def test_gradient_check_all_ops_and_composed_head_losses():
                               {"depth": gt_d, "mask": mask}, LossConfig(), (8, 8))[0]
 
         errs[f"composed_depth_k{k}"] = gradcheck(
-            depth_fn, [f0, q0], seed=2, params=list(bh.params().values()))
+            depth_fn, [f0, q0], seed=2, params=list(bins_p.made.values()))
         gt_n = comp.standard_normal((1, 64, 3))
         gt_n /= np.linalg.norm(gt_n, axis=-1, keepdims=True)
         with precision.verify():
-            nh = NormalHead(SplitMix64(6), 4)
+            normal_p = Params(SplitMix64(6))
+            nh = NormalHead(normal_p, 4)
 
         def normal_fn(f, q):
             n, _ = normal_compose(probability_map(f, q), nh(q), (2, 2))
@@ -127,7 +131,7 @@ def test_gradient_check_all_ops_and_composed_head_losses():
                               LossConfig(), (8, 8))[0]
 
         errs[f"composed_normal_k{k}"] = gradcheck(
-            normal_fn, [f0, q0], seed=3, params=list(nh.params().values()))
+            normal_fn, [f0, q0], seed=3, params=list(normal_p.made.values()))
 
     worst = max(errs, key=errs.get)
     assert errs[worst] < 1e-5, f"{worst}: {errs[worst]:.3e}"

@@ -6,24 +6,23 @@ import pytest
 from pmx import precision
 from pmx.backbone import (
     Backbone,
-    BackboneConfig,
     DecoderBlock,
     Encoder,
+    Params,
     kmeans_read,
     standard_read,
 )
 from pmx.errors import ContractError
-from pmx.gradcheck import gradcheck
 from pmx.rng import SplitMix64
 from pmx.tensor import Tensor
+
+from gradcheck import gradcheck
 
 GC_TOL = 1e-5
 
 
-def _cfg(**kw):
-    base = dict(widths=(8, 12, 12), d=8, n_dec=2, k=4, variant="kmeans")
-    base.update(kw)
-    return BackboneConfig(**base)
+def _backbone(seed, variant="kmeans"):
+    return Backbone(Params(SplitMix64(seed)), (8, 12, 12), 8, 2, 4, variant)
 
 
 def _n(seed, *shape):
@@ -35,25 +34,25 @@ def _n(seed, *shape):
 
 
 def test_encoder_output_is_stride_4():
-    enc = Encoder(SplitMix64(0), _cfg())
+    enc = Encoder(Params(SplitMix64(0)), (8, 12, 12), 8)
     y = enc(Tensor(_n(1, 2, 3, 64, 64)))
     assert y.shape == (2, 8, 16, 16)
 
 
 def test_encoder_rejects_non_multiple_of_4():
-    enc = Encoder(SplitMix64(0), _cfg())
+    enc = Encoder(Params(SplitMix64(0)), (8, 12, 12), 8)
     with pytest.raises(ContractError):
         enc(Tensor(_n(2, 1, 3, 62, 64)))
 
 
 def test_encoder_zero_image_finite():
-    enc = Encoder(SplitMix64(3), _cfg())
+    enc = Encoder(Params(SplitMix64(3)), (8, 12, 12), 8)
     y = enc(Tensor(np.zeros((1, 3, 32, 32))))
     assert np.isfinite(y.data).all()
 
 
 def test_encoder_batch_independence():
-    enc = Encoder(SplitMix64(4), _cfg())
+    enc = Encoder(Params(SplitMix64(4)), (8, 12, 12), 8)
     x = _n(5, 1, 3, 32, 32)
     both = enc(Tensor(np.concatenate([x, x], axis=0)))
     np.testing.assert_allclose(both.data[0], both.data[1], atol=1e-6)
@@ -102,22 +101,23 @@ def test_standard_read_uniform_features_gives_uniform_read():
 @pytest.mark.parametrize("variant", ["standard", "kmeans"])
 def test_block_gradcheck_tiny(variant):
     with precision.verify():
-        blk = DecoderBlock(SplitMix64(3), 4, variant)
+        p = Params(SplitMix64(3))
+        blk = DecoderBlock(p, 4, variant)
     q = _n(11, 1, 2, 4)
     f = _n(12, 1, 64, 4)  # 8x8 feature grid
     err = gradcheck(lambda qq, ff: blk(qq, ff), [q, f],
-                    params=list(blk.params("b").values()))
+                    params=list(p.made.values()))
     assert err < GC_TOL, f"{variant}: {err:.3e}"
 
 
 def test_block_rejects_zero_queries():
-    blk = DecoderBlock(SplitMix64(0), 4, "kmeans")
+    blk = DecoderBlock(Params(SplitMix64(0)), 4, "kmeans")
     with pytest.raises(ContractError):
         blk(Tensor(np.zeros((1, 0, 4))), Tensor(_n(13, 1, 8, 4)))
 
 
 def test_full_stack_shapes_and_determinism():
-    bb = Backbone(_cfg(), SplitMix64(5))
+    bb = _backbone(5)
     x = Tensor(_n(14, 2, 3, 32, 32))
     f1, q1, grid = bb(x)
     f2, q2, _ = bb(x)
@@ -127,9 +127,8 @@ def test_full_stack_shapes_and_determinism():
 
 
 def test_query_slot_permutation_equivariance():
-    cfg = _cfg(variant="standard")
-    b1 = Backbone(cfg, SplitMix64(6))
-    b2 = Backbone(cfg, SplitMix64(6))
+    b1 = _backbone(6, "standard")
+    b2 = _backbone(6, "standard")
     perm = np.array([2, 0, 3, 1])
     b2.queries.data[...] = b1.queries.data[perm]
     x = Tensor(_n(15, 1, 3, 32, 32))
@@ -139,8 +138,20 @@ def test_query_slot_permutation_equivariance():
 
 
 def test_param_names_are_prefixed_and_unique():
-    bb = Backbone(_cfg(), SplitMix64(0))
-    names = list(bb.params())
+    p = Params(SplitMix64(0))
+    Backbone(p, (8, 12, 12), 8, 2, 4, "kmeans")
+    names = list(p.made)
     assert len(names) == len(set(names))
     assert all(n.startswith(("enc/", "dec/")) for n in names)
     assert "dec/queries" in names
+
+
+def test_params_take_stored_entries_as_they_are():
+    stored = np.ones((2, 3), dtype=precision.dtype())
+    p = Params({"x.w": stored}).sub("x.")
+    w = p.normal("w", (2, 3), 1.0)
+    assert w.data is stored and p.made == {"x.w": w}
+    with pytest.raises(ContractError, match="x.b: missing"):
+        p.full("b", (3,), 0.0)
+    with pytest.raises(ContractError, match=r"x.w: shape \(2, 3\), model \(3, 2\)"):
+        Params({"x.w": stored}).normal("x.w", (3, 2), 1.0)

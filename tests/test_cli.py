@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from pmx.cli import main
-from pmx.formats import fnv1a64, read_checkpoint, write_checkpoint
+from pmx.formats import (fnv1a64, read_checkpoint, read_dataset, write_checkpoint,
+                         write_dataset)
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +132,33 @@ def test_train_resume_with_different_settings_is_one_line_runtime_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("change", [
+    {"opt/m/enc/out.w": None},
+    {"opt/step": None},
+    {"opt/v/dec/queries": np.zeros(3, dtype=np.float32)},
+    {"opt/step": np.float32("nan")},
+    {"opt/step": np.float32(-3)},
+    {"opt/step": np.float32(1.5)},
+])
+def test_train_resume_with_a_forged_opt_entry_is_one_line_runtime_error(
+        data, depth_ckpt, tmp_path, capsys, change):
+    forged = tmp_path / "forged.pmxc"
+    tensors = read_checkpoint(depth_ckpt)
+    for name, value in change.items():
+        if value is None:
+            del tensors[name]
+        else:
+            tensors[name] = value
+    write_checkpoint(str(forged), tensors)
+    out = tmp_path / "m.pmxc"
+    assert main(["train", "--task", "depth", "--data", data, "--steps", "3", "--batch", "4",
+                 "--resume", str(forged), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert next(iter(change)) in err
+    assert not out.exists()
+
+
 def test_train_resume_of_the_same_model_continues(data, depth_ckpt, tmp_path):
     out = tmp_path / "m.pmxc"
     assert main(["train", "--task", "depth", "--data", data, "--steps", "3", "--batch", "4",
@@ -169,6 +197,42 @@ def test_eval_missing_checkpoint_is_runtime_error(data, tmp_path):
 def _single_line_error(capsys):
     err = capsys.readouterr().err
     return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def _relabeled(data, path, label, classes):
+    """A copy of the dataset with one pixel relabeled and the header's class
+    count set to ``classes``."""
+    header, samples = read_dataset(data)
+    samples[2].labels[5, 6] = label
+    write_dataset(str(path), samples, classes, header.d_min, header.d_max)
+    return str(path)
+
+
+def test_eval_oracle_label_outside_the_classes_is_one_line_runtime_error(data, tmp_path,
+                                                                         capsys):
+    bad = _relabeled(data, tmp_path / "bad.pmxd", 7, 4)
+    assert main(["eval", "--task", "seg", "--data", bad, "--oracle"]) == 1
+    assert _single_line_error(capsys)
+
+
+def test_train_label_outside_the_classes_is_one_line_runtime_error(data, tmp_path, capsys):
+    bad = _relabeled(data, tmp_path / "bad.pmxd", 7, 4)
+    out = tmp_path / "m.pmxc"
+    assert main(["train", "--task", "seg", "--data", bad, "--steps", "1", "--batch", "4",
+                 "--out", str(out)]) == 1
+    assert _single_line_error(capsys)
+    assert not out.exists()
+
+
+def test_eval_seg_checkpoint_on_more_classes_is_one_line_runtime_error(data, tmp_path,
+                                                                       capsys):
+    ckpt = str(tmp_path / "seg.pmxc")
+    assert main(["train", "--task", "seg", "--data", data, "--steps", "1", "--batch", "4",
+                 "--out", ckpt]) == 0
+    five = _relabeled(data, tmp_path / "five.pmxd", 4, 5)
+    capsys.readouterr()
+    assert main(["eval", "--task", "seg", "--data", five, "--ckpt", ckpt]) == 1
+    assert _single_line_error(capsys)
 
 
 def test_eval_malformed_checkpoint_is_one_line_runtime_error(data, tmp_path, capsys):

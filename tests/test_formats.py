@@ -96,6 +96,26 @@ def test_dataset_header_zero_size_rejected(tmp_path, h, w):
         read_dataset(str(path))
 
 
+def _with_label(sample, label):
+    import dataclasses
+    labels = sample.labels.copy()
+    labels[3, 5] = label
+    return dataclasses.replace(sample, labels=labels)
+
+
+@pytest.mark.parametrize("label", [4, 7, 254])
+def test_dataset_label_outside_the_classes_rejected(tmp_path, small_split, label):
+    samples = [small_split[0], _with_label(small_split[1], label)]
+    with pytest.raises(FormatError, match="sample 1 has labels outside the 4 classes"):
+        read_dataset(_write(tmp_path, samples))
+
+
+def test_dataset_ignore_label_accepted(tmp_path, small_split):
+    samples = [_with_label(small_split[0], 255)]
+    _, got = read_dataset(_write(tmp_path, samples))
+    assert np.array_equal(got[0].labels, samples[0].labels)
+
+
 def test_dataset_rejects_empty_and_ragged(tmp_path, small_split):
     with pytest.raises(ContractError):
         write_dataset(str(tmp_path / "e.pmxd"), [], 4, 0.5, 10.0)

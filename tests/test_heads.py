@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pmx import precision
+from pmx.backbone import Params
 from pmx.errors import ContractError, ShapeError
 from pmx.heads import (
     BaselineHead,
@@ -152,7 +153,7 @@ def test_depth_compose_one_hot_and_uniform():
 
 def test_depth_compose_stays_convex_for_random_draws():
     gen = SplitMix64(15)
-    head = BinsHead(SplitMix64(16), 8)
+    head = BinsHead(Params(SplitMix64(16)), 8)
     for _ in range(50):
         q = Tensor(gen.normals(2 * 3 * 8).reshape(2, 3, 8))
         b, _ = head(q, 0.5, 10.0)
@@ -168,7 +169,7 @@ def test_depth_compose_stays_convex_for_random_draws():
 
 
 def test_normal_head_rows_are_unit():
-    head = NormalHead(SplitMix64(17), 8)
+    head = NormalHead(Params(SplitMix64(17)), 8)
     v = head(Tensor(_n(18, 2, 5, 8)))
     np.testing.assert_allclose(np.linalg.norm(v.data, axis=-1), 1.0, atol=1e-5)
 
@@ -266,7 +267,7 @@ def test_normal_compose_matches_row_oracle_bit_for_bit(verify):
 @pytest.mark.parametrize("verify", [False, True])
 def test_baseline_normal_matches_row_oracle_bit_for_bit(verify):
     with precision.verify() if verify else contextlib.nullcontext():
-        head = BaselineHead(SplitMix64(33), 8, "normal", 4)
+        head = BaselineHead(Params(SplitMix64(33)), 8, "normal", 4)
         (f,) = _leaves(34, (2, 12, 8))
         out = head(f, (3, 4))
         want = _row_unit(upsample_rows(head.fc(f), (3, 4)))
@@ -288,7 +289,7 @@ def test_upsample_planes_are_the_transposed_rows():
 
 
 def test_baseline_depth_zero_weights_gives_midpoint():
-    head = BaselineHead(SplitMix64(19), 8, "depth", 4, 0.5, 10.0)
+    head = BaselineHead(Params(SplitMix64(19)), 8, "depth", 4, 0.5, 10.0)
     head.fc.weight.data[...] = 0.0
     head.fc.bias.data[...] = 0.0
     out = head(Tensor(_n(20, 1, 16, 8)), (4, 4))
@@ -296,13 +297,13 @@ def test_baseline_depth_zero_weights_gives_midpoint():
 
 
 def test_baseline_normal_outputs_unit_rows():
-    head = BaselineHead(SplitMix64(21), 8, "normal", 4)
+    head = BaselineHead(Params(SplitMix64(21)), 8, "normal", 4)
     out = head(Tensor(_n(22, 1, 16, 8)), (4, 4))
     np.testing.assert_allclose(np.linalg.norm(out.data, axis=-1), 1.0, atol=1e-5)
 
 
 def test_baseline_seg_identity_weights_recover_class():
-    head = BaselineHead(SplitMix64(23), 4, "seg", 4)
+    head = BaselineHead(Params(SplitMix64(23)), 4, "seg", 4)
     head.fc.weight.data[...] = np.eye(4)
     head.fc.bias.data[...] = 0.0
     f = np.zeros((1, 16, 4))

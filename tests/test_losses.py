@@ -7,11 +7,12 @@ import pytest
 
 from pmx import precision
 from pmx.errors import ContractError
-from pmx.gradcheck import gradcheck
 from pmx.losses import (LossConfig, charbonnier, multiscale_grad, normal_l2,
                         rel_sq, seg_cross_entropy, silog, total_loss)
 from pmx.metrics import angular_error_deg
 from pmx.tensor import Tensor
+
+from gradcheck import gradcheck
 
 
 def _ones(*shape):

@@ -66,6 +66,22 @@ def test_confusion_matrix_counts():
     assert con.tolist() == [[1, 1], [1, 2]]
 
 
+@pytest.mark.parametrize("pred,gt,named", [
+    ([0, 1, 2], [0, 1, 1], "prediction ids span 0..2"),
+    ([0, 1, 1], [0, 7, 1], "label ids span 0..7"),
+    ([0, -1, 1], [0, 1, 1], "prediction ids span -1..1"),
+    ([0, 1, 1], [0, 1, 254], "label ids span 0..254"),
+])
+def test_confusion_matrix_rejects_ids_outside_the_classes(pred, gt, named):
+    with pytest.raises(ContractError, match=named):
+        confusion_matrix(np.array(pred), np.array(gt), 2)
+
+
+def test_confusion_matrix_ignores_any_prediction_at_ignored_pixels():
+    con = confusion_matrix(np.array([0, 255, -4, 1]), np.array([0, 255, 255, 1]), 2)
+    assert con.tolist() == [[1, 0], [0, 1]]
+
+
 # ---- depth -------------------------------------------------------------------------
 
 

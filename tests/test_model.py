@@ -1,5 +1,8 @@
 """Model assembly, prediction shapes, and checkpoint reconstruction."""
 
+import re
+import zlib
+
 import numpy as np
 import pytest
 
@@ -155,15 +158,41 @@ def test_training_step_gradients_share_no_memory(rng):
             assert not np.shares_memory(a, b)
 
 
-def test_load_state_missing_and_mismatched(tmp_path):
-    model = Model(ModelConfig(task="depth"), seed=0)
-    with pytest.raises(ContractError):
-        model.load_state({})
-    tensors = {n: p.data.copy() for n, p in model.params().items()}
-    first = sorted(tensors)[0]
-    tensors[first] = np.zeros((1, 1), dtype=np.float32)
-    with pytest.raises(ContractError):
-        model.load_state(tensors)
+def test_load_missing_and_mismatched_parameter(tmp_path):
+    path = str(tmp_path / "model.pmxc")
+    save_model(path, Model(ModelConfig(task="depth"), seed=0))
+    saved = read_checkpoint(path)
+    name = "dec/block0.ffn1.b"
+    tensors = dict(saved)
+    del tensors[name]
+    write_checkpoint(path, tensors)
+    with pytest.raises(ContractError, match=f"parameter {name}: missing"):
+        load_model(path)
+    tensors = dict(saved)
+    tensors[name] = np.zeros((1, 1), dtype=np.float32)
+    write_checkpoint(path, tensors)
+    with pytest.raises(ContractError, match=re.escape(f"parameter {name}: shape (1, 1), model (128,)")):
+        load_model(path)
+
+
+# CRC-32 of each saved body (the file minus its 8-byte trailer, which holds
+# that same CRC, so a whole file's CRC-32 is one constant residue), taken
+# before parameters were made through backbone.Params: any change to a
+# parameter's name, shape, init or draw order changes the bytes.
+GOLDEN_CRC = {
+    ("seg", "cluster", "kmeans"): 0x01BC54DF,
+    ("depth", "cluster", "standard"): 0xF52E6BB9,
+    ("normal", "baseline", "kmeans"): 0xC8797579,
+}
+
+
+@pytest.mark.parametrize("task,head,variant", sorted(GOLDEN_CRC))
+def test_saved_parameters_match_golden_crc(tmp_path, task, head, variant):
+    path = str(tmp_path / "model.pmxc")
+    save_model(path, Model(ModelConfig(task=task, head=head, variant=variant), seed=11))
+    with open(path, "rb") as fh:
+        body = fh.read()[:-8]
+    assert zlib.crc32(body) == GOLDEN_CRC[task, head, variant]
 
 
 def test_checkpoint_without_metadata_rejected(tmp_path):

@@ -5,9 +5,10 @@ import pytest
 
 from pmx import precision
 from pmx.errors import ShapeError
-from pmx.gradcheck import gradcheck
 from pmx.rng import SplitMix64
 from pmx.tensor import Tensor, bias_add, constant, no_grad, one_hot, parameter
+
+from gradcheck import gradcheck
 
 GC_TOL = 1e-5
 

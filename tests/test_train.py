@@ -1,6 +1,7 @@
 """Optimizer behavior, deterministic ordering, resume, and the harnesses."""
 
 import csv
+import re
 import struct
 
 import numpy as np
@@ -84,6 +85,45 @@ def test_adamw_state_roundtrip():
     assert other.t == 1
     np.testing.assert_array_equal(other.m["dec/x"], opt.m["dec/x"])
     np.testing.assert_array_equal(other.v["dec/x"], opt.v["dec/x"])
+
+
+def _saved_adamw_state():
+    p = parameter(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32))
+    opt = AdamW({"dec/x": p}, lr=0.01)
+    p.grad = np.array([[0.5, -0.5], [0.25, 1.0]], dtype=np.float32)
+    opt.step()
+    return {k: np.asarray(v, dtype=np.float32).copy() for k, v in opt.state().items()}
+
+
+def test_adamw_load_keeps_the_given_moments():
+    state = _saved_adamw_state()
+    other = AdamW({"dec/x": parameter(np.zeros((2, 2), dtype=np.float32))}, lr=0.01)
+    other.load(state)
+    assert other.m["dec/x"] is state["m/dec/x"] and other.v["dec/x"] is state["v/dec/x"]
+
+
+@pytest.mark.parametrize("change,named", [
+    (dict(step=None), "opt/step []"),
+    (dict(step=np.float32("nan")), "opt/step [nan]"),
+    (dict(step=np.float32(-3)), "opt/step [-3.0]"),
+    (dict(step=np.float32(1.5)), "opt/step [1.5]"),
+    (dict(step=np.float32("inf")), "opt/step [inf]"),
+    (dict(step=np.zeros(2, dtype=np.float32)), "opt/step [0.0, 0.0]"),
+    ({"m/dec/x": None}, "opt/m/dec/x: missing"),
+    ({"v/dec/x": None}, "opt/v/dec/x: missing"),
+    ({"m/dec/x": np.zeros(3, dtype=np.float32)}, "opt/m/dec/x: shape (3,), parameter (2, 2)"),
+    ({"v/dec/x": np.zeros(4, dtype=np.float32)}, "opt/v/dec/x: shape (4,), parameter (2, 2)"),
+])
+def test_adamw_load_rejects_a_malformed_entry(change, named):
+    state = _saved_adamw_state()
+    for key, value in change.items():
+        if value is None:
+            del state[key]
+        else:
+            state[key] = value
+    other = AdamW({"dec/x": parameter(np.zeros((2, 2), dtype=np.float32))}, lr=0.01)
+    with pytest.raises(ContractError, match=re.escape(named)):
+        other.load(state)
 
 
 # ---- deterministic ordering ----------------------------------------------------------
@@ -299,6 +339,18 @@ def _without_run_settings(path, version):
         blob = bytearray(open(path, "rb").read()[:-8])
         blob[4:8] = struct.pack("<I", 1)
         open(path, "wb").write(bytes(blob) + struct.pack("<Q", fnv1a64(bytes(blob))))
+
+
+def test_resume_with_a_forged_opt_entry_raises(tiny_split, tmp_path):
+    samples, _ = tiny_split
+    ckpt = str(tmp_path / "mid.ckpt")
+    cfg = TrainConfig(task="depth", steps=2, batch=4)
+    train(samples, cfg, out_path=ckpt)
+    tensors = read_checkpoint(ckpt)
+    tensors["opt/step"] = np.float32(-3)
+    write_checkpoint(ckpt, tensors)
+    with pytest.raises(ContractError, match=re.escape("opt/step [-3.0]")):
+        train(samples, TrainConfig(task="depth", steps=4, batch=4), resume_from=ckpt)
 
 
 @pytest.mark.parametrize("version", [1, 2])
