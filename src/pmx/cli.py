@@ -138,8 +138,7 @@ def _train_config(args, header, **override) -> TrainConfig:
     fields = dict(
         task=args.task, steps=args.steps, batch=args.batch, lr=args.lr,
         seed=args.seed, k=args.k, variant=args.variant, head=args.head,
-        eval_every=args.eval_every, clip_norm=0.0 if args.no_clip else 10.0,
-        loss=LossConfig(),
+        eval_every=args.eval_every, clip_norm=0.0 if args.no_clip else TrainConfig.clip_norm,
     )
     fields.update(override)
     cfg = TrainConfig(**fields)

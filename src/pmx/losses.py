@@ -18,6 +18,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .errors import ContractError
+from .formats import IGNORE_LABEL
 from .tensor import Tensor
 
 
@@ -25,7 +26,6 @@ from .tensor import Tensor
 class LossConfig:
     silog_lambda: float = 0.5
     grad_scales: int = 4
-    ignore_label: int = 255
     depth_weights: Tuple[float, float, float] = (1.0, 1.0, 1.0)  # silog, rel_sq, grad
 
     def validate(self) -> None:
@@ -129,14 +129,14 @@ def normal_l2(n_pred: Tensor, n_gt: np.ndarray, mask: np.ndarray) -> Tensor:
     return per_pixel.sum() * (1.0 / n)
 
 
-def seg_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_label: int = 255) -> Tensor:
-    """mean over non-ignored pixels of -log softmax(logits)[label].
+def seg_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """mean over the pixels not labeled IGNORE_LABEL of -log softmax(logits)[label].
 
     logits (M, C); labels (M,) ints.  The log-softmax shift detaches the
     row max, which leaves the gradient exact by shift invariance.
     """
     labels = np.asarray(labels).reshape(-1)
-    valid = labels != ignore_label
+    valid = labels != IGNORE_LABEL
     n = float(valid.sum())
     if n == 0:
         raise ContractError("cross entropy: every pixel is ignored")
@@ -159,7 +159,7 @@ def total_loss(task: str, prediction, sample_arrays: Dict[str, np.ndarray],
     """
     cfg.validate()
     if task == "seg":
-        loss = seg_cross_entropy(prediction, sample_arrays["labels"], cfg.ignore_label)
+        loss = seg_cross_entropy(prediction, sample_arrays["labels"])
         return loss, {"ce": float(loss.data)}
     if task == "depth":
         gt = sample_arrays["depth"]

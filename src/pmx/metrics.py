@@ -18,6 +18,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .errors import ContractError
+from .formats import IGNORE_LABEL
 
 DEPTH_DELTA_BASE = 1.25
 NORMAL_DEGREES = (11.5, 22.5, 30.0)
@@ -51,14 +52,13 @@ class MetricReport:
         return self.metrics[PRIMARY_METRIC[self.task][0]]
 
 
-def confusion_matrix(pred: np.ndarray, gt: np.ndarray, classes: int,
-                     ignore_label: int = 255) -> np.ndarray:
+def confusion_matrix(pred: np.ndarray, gt: np.ndarray, classes: int) -> np.ndarray:
     """(classes, classes) counts, ground truth by row, over the pixels whose
-    label is not ``ignore_label``; any other label or prediction outside
+    label is not ``IGNORE_LABEL``; any other label or prediction outside
     [0, classes) raises ContractError."""
     pred = np.asarray(pred).reshape(-1)
     gt = np.asarray(gt).reshape(-1)
-    valid = gt != ignore_label
+    valid = gt != IGNORE_LABEL
     g, p = gt[valid].astype(np.int64), pred[valid].astype(np.int64)
     for name, ids in (("label", g), ("prediction", p)):
         if ids.size and (ids.min() < 0 or ids.max() >= classes):
@@ -67,10 +67,9 @@ def confusion_matrix(pred: np.ndarray, gt: np.ndarray, classes: int,
     return np.bincount(g * classes + p, minlength=classes * classes).reshape(classes, classes)
 
 
-def miou(pred: np.ndarray, gt: np.ndarray, classes: int,
-         ignore_label: int = 255) -> Tuple[np.ndarray, float]:
+def miou(pred: np.ndarray, gt: np.ndarray, classes: int) -> Tuple[np.ndarray, float]:
     """Per-class IoU (nan where the class is absent from both) and their mean."""
-    con = confusion_matrix(pred, gt, classes, ignore_label).astype(np.float64)
+    con = confusion_matrix(pred, gt, classes).astype(np.float64)
     tp = np.diag(con)
     union = con.sum(axis=0) + con.sum(axis=1) - tp
     iou = np.where(union > 0, tp / np.where(union > 0, union, 1.0), np.nan)

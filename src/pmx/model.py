@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -63,37 +63,36 @@ class ModelConfig:
             raise ContractError(f"depth range [{self.d_min}, {self.d_max}] invalid")
 
 
+def _modules(cfg: ModelConfig, p: Params, hp: Params):
+    """The trunk (a Backbone, or an Encoder for the baseline head) with its
+    parameters made through p, and the head (None for seg clusters) with
+    its parameters made through hp; both record into one dict."""
+    cfg.validate()
+    if cfg.head == "baseline":
+        return (Encoder(p.sub("enc/"), cfg.widths, cfg.d),
+                heads.BaselineHead(hp.sub("head/baseline."), cfg.d, cfg.task, cfg.classes,
+                                   cfg.d_min, cfg.d_max))
+    trunk = Backbone(p, cfg.widths, cfg.d, cfg.n_dec, cfg.k, cfg.variant)
+    if cfg.task == "depth":
+        return trunk, heads.BinsHead(hp.sub("head/bins."), cfg.d)
+    if cfg.task == "normal":
+        return trunk, heads.NormalHead(hp.sub("head/normal."), cfg.d)
+    return trunk, None
+
+
 class Model:
     def __init__(self, cfg: ModelConfig, seed: int = 0):
         p = Params(SplitMix64(seed))
-        self._build(cfg, p, Params(SplitMix64(mix_seed_index(seed, 0x6EAD)), p.made))
-
-    def _build(self, cfg: ModelConfig, p: Params, hp: Params) -> None:
-        """Create every module, the backbone's parameters through p and the
-        head's through hp; both record into one dict."""
-        cfg.validate()
-        self.cfg = cfg
-        self._params = p.made
-        self.backbone: Optional[Backbone] = None
-        self.encoder: Optional[Encoder] = None
-        self.bins_head = self.normal_head = self.baseline_head = None
-        if cfg.head == "baseline":
-            self.encoder = Encoder(p.sub("enc/"), cfg.widths, cfg.d)
-            self.baseline_head = heads.BaselineHead(
-                hp.sub("head/baseline."), cfg.d, cfg.task, cfg.classes, cfg.d_min, cfg.d_max)
-            return
-        self.backbone = Backbone(p, cfg.widths, cfg.d, cfg.n_dec, cfg.k, cfg.variant)
-        if cfg.task == "depth":
-            self.bins_head = heads.BinsHead(hp.sub("head/bins."), cfg.d)
-        elif cfg.task == "normal":
-            self.normal_head = heads.NormalHead(hp.sub("head/normal."), cfg.d)
+        hp = Params(SplitMix64(mix_seed_index(seed, 0x6EAD)), p.made)
+        self.trunk, self.head = _modules(cfg, p, hp)
+        self.cfg, self._params = cfg, p.made
 
     # ---- forward ---------------------------------------------------------
 
     def _features(self, images: Tensor):
-        if self.backbone is not None:
-            return self.backbone(images)
-        f, grid = self.encoder.rows(images)
+        if self.cfg.head == "cluster":
+            return self.trunk(images)
+        f, grid = self.trunk.rows(images)
         return f, None, grid
 
     def train_outputs(self, images: Tensor) -> Dict[str, Tensor]:
@@ -111,14 +110,14 @@ class Model:
         key = PRED_KEY[cfg.task]
         f, q, grid = self._features(images)
         if cfg.head == "baseline":
-            return {key: self.baseline_head(f, grid)}
+            return {key: self.head(f, grid)}
         if cfg.task == "seg":
             return {key: heads.upsample_rows(f.matmul(q.transpose_last2()), grid)}
         p = heads.probability_map(f, q)
         if cfg.task == "depth":
-            b, _ = self.bins_head(q, cfg.d_min, cfg.d_max)
+            b, _ = self.head(q, cfg.d_min, cfg.d_max)
             return {key: heads.depth_compose(p, b, grid)}
-        return {key: heads.normal_compose(p, self.normal_head(q), grid)[0]}
+        return {key: heads.normal_compose(p, self.head(q), grid)[0]}
 
     def predict(self, images: Tensor) -> np.ndarray:
         """Numpy predictions, no graph.  seg: (B, H, W) class ids, the argmax
@@ -140,7 +139,7 @@ class Model:
         """The upsampled probability map as (B, K, H, W) numpy, one panel per
         cluster (cluster head only).  Each pixel's K values sum to 1 up to
         float rounding, since the bilinear weights are row-stochastic."""
-        if self.backbone is None:
+        if self.cfg.head != "cluster":
             raise ContractError("baseline head has no probability map")
         bsz, _, h, w = images.shape
         with no_grad():
@@ -149,11 +148,11 @@ class Model:
         return planes.data.reshape(bsz, self.cfg.k, h, w)
 
     def bin_centers(self, images: Tensor) -> np.ndarray:
-        if self.bins_head is None:
+        if not isinstance(self.head, heads.BinsHead):
             raise ContractError("model has no depth-bin head")
         with no_grad():
             _, q, _ = self._features(images)
-            b, _ = self.bins_head(q, self.cfg.d_min, self.cfg.d_max)
+            b, _ = self.head(q, self.cfg.d_min, self.cfg.d_max)
         return b.data
 
     # ---- parameters ------------------------------------------------------------
@@ -230,34 +229,6 @@ def stored_config(cfg: ModelConfig) -> ModelConfig:
     return config_from_meta(_meta_tensors(cfg))
 
 
-def _check_dims(cfg: ModelConfig, tensors: Dict[str, np.ndarray]) -> None:
-    """Compare each ``meta/`` dimension with the entries that carry it, so
-    that a forged dimension fails before any weight is drawn and a load
-    allocates no more than the checkpoint's own entries imply."""
-    w0, w1, w2 = cfg.widths
-    want = {
-        "enc/stem1.w": (w0, 3, 3, 3),
-        "enc/stage1.c1.w": (w1, w0, 3, 3),
-        "enc/stage2.c1.w": (w2, w1, 3, 3),
-        "enc/out.w": (cfg.d, w2, 3, 3),
-    }
-    blocks = 0
-    if cfg.head == "cluster":
-        want["dec/queries"] = (cfg.k, cfg.d)
-        blocks = cfg.n_dec
-    elif cfg.task == "seg":
-        want["head/baseline.fc.w"] = (cfg.d, cfg.classes)
-    for name, shape in want.items():
-        if name not in tensors:
-            raise ContractError(f"checkpoint missing parameter {name}")
-        if tensors[name].shape != shape:
-            raise ContractError(
-                f"{name}: checkpoint shape {tensors[name].shape} vs meta/ {shape}")
-    found = {n.split(".")[0] for n in tensors if n.startswith("dec/block")}
-    if found != {f"dec/block{i}" for i in range(blocks)}:
-        raise ContractError(f"checkpoint holds {len(found)} decoder blocks, meta/ implies {blocks}")
-
-
 def _run_tensors(run: Dict[str, Sequence[float]]) -> Dict[str, np.ndarray]:
     return {f"train/{n}": np.asarray(v, dtype=np.float32).reshape(-1) for n, v in run.items()}
 
@@ -288,13 +259,20 @@ def save_model(path: str, model: Model, opt_state: Dict[str, np.ndarray] = None,
 def load_checkpoint(path: str) -> Tuple[Model, Dict[str, np.ndarray], Dict[str, List[float]]]:
     """Rebuild a model from a checkpoint; returns it, its opt/ state and its
     train/ settings (either may be empty).  Each parameter takes its
-    checkpoint entry as read: no weight is drawn or copied."""
+    checkpoint entry as read: no weight is drawn or copied.  A missing or
+    misshapen parameter, or an entry outside meta/, opt/ and train/ that no
+    parameter takes, raises ContractError before any Model exists."""
     tensors = formats.read_checkpoint(path)
     cfg = config_from_meta(tensors)
-    _check_dims(cfg, tensors)
-    model = Model.__new__(Model)
     stored = Params(tensors)
-    model._build(cfg, stored, stored)
+    modules = _modules(cfg, stored, stored)
+    for name in tensors:
+        if name not in stored.made and not name.startswith(("meta/", "opt/", "train/")):
+            raise ContractError(f"checkpoint entry {name} is not a parameter of a "
+                                f"{cfg.task}/{cfg.head} model")
+    model = Model.__new__(Model)
+    model.trunk, model.head = modules
+    model.cfg, model._params = cfg, stored.made
     opt = {n[4:]: a for n, a in tensors.items() if n.startswith("opt/")}
     return model, opt, _run_values(tensors)
 

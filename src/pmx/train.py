@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,17 +45,13 @@ class TrainConfig:
     variant: str = "kmeans"
     head: str = "cluster"
     eval_every: int = 0          # 0: evaluate only at the end
-    weight_decay: float = 0.05
-    backbone_lr_mult: float = 0.1
     clip_norm: float = 10.0      # 0 disables clipping
-    loss: LossConfig = field(default_factory=LossConfig)
 
     def validate(self) -> None:
         if self.steps < 1 or self.batch < 1:
             raise ContractError("steps and batch size must be positive")
-        if not (0 <= self.lr < math.inf and 0 <= self.weight_decay < math.inf):
-            raise ContractError(f"lr {self.lr} and weight decay {self.weight_decay} "
-                                f"must be finite and nonnegative")
+        if not 0 <= self.lr < math.inf:
+            raise ContractError(f"lr {self.lr} must be finite and nonnegative")
         if self.eval_every < 0:
             raise ContractError(f"eval_every {self.eval_every} must be >= 0 (0: only at the end)")
 
@@ -119,13 +115,17 @@ class AdamW:
         return out
 
     def load(self, state: Dict[str, np.ndarray]) -> None:
-        """Continue from a saved ``state()``; an entry that is missing, a
-        moment not of its parameter's shape or a step that is not a whole
-        number >= 0 raises ContractError naming it.  A moment already of its
-        parameter's dtype is kept, not copied."""
+        """Continue from a saved ``state()``.  An entry that is missing or
+        names no parameter, a moment not of its parameter's shape, a moment
+        that is not finite, a negative second moment or a step that is not a
+        whole number >= 0 raises ContractError naming it.  A moment already
+        of its parameter's dtype is kept, not copied."""
         step = np.asarray(state.get("step", []), dtype=np.float64).reshape(-1)
         if step.size != 1 or not (step[0] >= 0 and float(step[0]).is_integer()):
             raise ContractError(f"checkpoint opt/step {step.tolist()} is not a whole number >= 0")
+        stray = set(state) - {"step"} - {f"{key}/{n}" for key in "mv" for n in self.names}
+        if stray:
+            raise ContractError(f"checkpoint opt/{min(stray)} names no parameter")
         self.t = int(step[0])
         for moments, key in ((self.m, "m"), (self.v, "v")):
             for n in self.names:
@@ -133,7 +133,12 @@ class AdamW:
                 if arr is None or arr.shape != p.shape:
                     got = "missing" if arr is None else f"shape {arr.shape}"
                     raise ContractError(f"checkpoint opt/{key}/{n}: {got}, parameter {p.shape}")
-                moments[n] = np.asarray(arr, dtype=p.dtype)
+                arr = np.asarray(arr, dtype=p.dtype)
+                if not np.isfinite(arr).all():
+                    raise ContractError(f"checkpoint opt/{key}/{n} holds a value that is not finite")
+                if key == "v" and (arr < 0).any():
+                    raise ContractError(f"checkpoint opt/v/{n} holds a negative second moment")
+                moments[n] = arr
 
 
 # ---- deterministic sample order -------------------------------------------------
@@ -246,19 +251,13 @@ def _run_settings(cfg: TrainConfig) -> Dict[str, List[float]]:
     run that saved its checkpoint (``steps`` and ``eval_every`` may differ).
     The seed is stored as four 16-bit limbs of its value mod 2**64, which
     float32 holds exactly; that value is all that the sample order and the
-    weights depend on."""
-    loss = cfg.loss
+    weights depend on.  Older files may hold more ``train/`` entries, for
+    settings that are now constants; they are not compared."""
     return {
         "seed": [(cfg.seed >> s) & 0xFFFF for s in _SEED_LIMBS],
         "batch": [cfg.batch],
         "lr": [cfg.lr],
-        "weight_decay": [cfg.weight_decay],
-        "backbone_lr_mult": [cfg.backbone_lr_mult],
         "clip_norm": [cfg.clip_norm],
-        "loss.silog_lambda": [loss.silog_lambda],
-        "loss.grad_scales": [loss.grad_scales],
-        "loss.ignore_label": [loss.ignore_label],
-        "loss.depth_weights": list(loss.depth_weights),
     }
 
 
@@ -309,16 +308,14 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, classes: int = 4,
     cfg.validate()
     if len(samples) == 0:
         raise ContractError("training needs a nonempty dataset")
-    if resume_from is not None:
+    if resume_from is None:
+        model, opt_state = Model(model_config(cfg, classes, d_min, d_max), seed=cfg.seed), None
+    else:
         model, opt_state, stored = load_checkpoint(resume_from)
         _check_resume(model, stored, cfg, classes, d_min, d_max)
-    else:
-        model = Model(model_config(cfg, classes, d_min, d_max), seed=cfg.seed)
-        opt_state = None
-    params = model.params()
-    opt = AdamW(params, cfg.lr, cfg.weight_decay, backbone_lr_mult=cfg.backbone_lr_mult)
-    if opt_state:
-        opt.load(opt_state)
+    opt = AdamW(model.params(), cfg.lr)
+    if opt_state is not None:
+        opt.load(opt_state)     # a checkpoint without opt/ entries fails here
     order = _Order(cfg.seed, len(samples), cfg.batch)
     h, w = samples[0].labels.shape
     trace: List[Tuple[int, float, Dict[str, float]]] = []
@@ -345,7 +342,7 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, classes: int = 4,
             b, n, c = prediction.shape
             prediction = prediction.reshape(b * n, c)
         loss, terms = total_loss(cfg.task, prediction, _targets(cfg.task, labels, depth, normal),
-                                 cfg.loss, (h, w))
+                                 LossConfig(), (h, w))
         value = float(loss.data)
         if not math.isfinite(value):
             grad = (f"last finite grad norm {last_norm[1]:.4g} at step {last_norm[0]}"

@@ -139,6 +139,9 @@ def test_train_resume_with_different_settings_is_one_line_runtime_error(
     {"opt/step": np.float32("nan")},
     {"opt/step": np.float32(-3)},
     {"opt/step": np.float32(1.5)},
+    {"opt/v/enc/out.w": np.full((64, 64, 3, 3), -1.0, dtype=np.float32)},
+    {"opt/m/dec/queries": np.full((4, 64), np.inf, dtype=np.float32)},
+    {"opt/m/enc/extra.w": np.zeros(3, dtype=np.float32)},
 ])
 def test_train_resume_with_a_forged_opt_entry_is_one_line_runtime_error(
         data, depth_ckpt, tmp_path, capsys, change):
@@ -287,6 +290,20 @@ def test_eval_forged_meta_widths_is_one_line_runtime_error(data, depth_ckpt, tmp
     write_checkpoint(path, tensors)
     assert main(["eval", "--task", "depth", "--data", data, "--ckpt", path]) == 1
     assert _single_line_error(capsys)
+
+
+@pytest.mark.parametrize("name", ["enc/extra.w", "head/normal.fc1.w", "dec/block2.ln1.g"])
+def test_eval_entry_no_parameter_takes_is_one_line_runtime_error(data, depth_ckpt, tmp_path,
+                                                                   capsys, name):
+    tensors = read_checkpoint(depth_ckpt)
+    tensors[name] = np.zeros(64, dtype=np.float32)
+    path = str(tmp_path / "stray.pmxc")
+    write_checkpoint(path, tensors)
+    capsys.readouterr()
+    assert main(["eval", "--task", "depth", "--data", data, "--ckpt", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert name in err
 
 
 @pytest.mark.parametrize("command", ["train", "ablate-k", "compare-baseline"])

@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from pmx.errors import ContractError
+from pmx.errors import ContractError, FormatError
 from pmx.formats import read_checkpoint, write_checkpoint
 from pmx.model import (Model, ModelConfig, config_from_meta, load_model,
                        save_model)
@@ -285,3 +285,113 @@ def test_forged_meta_dimension_fails_before_any_model_is_built(tmp_path, monkeyp
     monkeypatch.setattr(model_mod, "Model", no_model)
     with pytest.raises(ContractError):
         load_model(path)
+
+
+@pytest.mark.parametrize("task,head,name", [
+    ("normal", "baseline", "head/bins.fc1.w"),
+    ("normal", "baseline", "enc/extra.w"),
+    ("normal", "baseline", "dec/queries"),
+    ("depth", "cluster", "head/normal.fc1.w"),
+    ("seg", "cluster", "weights"),
+])
+def test_entry_no_parameter_takes_is_refused_before_any_model_is_built(tmp_path, monkeypatch,
+                                                                        task, head, name):
+    import pmx.model as model_mod
+    path = str(tmp_path / "stray.pmxc")
+    save_model(path, Model(ModelConfig(task=task, head=head), seed=0),
+               {"step": np.float32(1)}, {"lr": [5e-4]})
+    tensors = read_checkpoint(path)
+    tensors[name] = np.zeros((64, 64), dtype=np.float32)
+    write_checkpoint(path, tensors)
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("a Model was built from a checkpoint with a stray entry")
+
+    monkeypatch.setattr(model_mod, "Model", no_model)
+    with pytest.raises(ContractError, match=re.escape(f"checkpoint entry {name} ")):
+        load_model(path)
+
+
+# ---- seeded checkpoint forgery -------------------------------------------------------
+
+_STRAY_NAMES = ("enc/extra.w", "head/bins.fc1.w", "head/normal.fc2.b", "head/baseline.fc.w",
+                "dec/queries", "dec/block0.ln1.g", "weights", "meta", "opt", "train.lr")
+_PARAM_FORGERIES = ("drop", "rename", "reshape", "stray", "add block", "remove block")
+
+
+def _forged(saved, block, gen):
+    """One SplitMix64-drawn forgery of a checkpoint's entries: its kind and
+    the new entries.  ``block`` maps each decoder-block entry suffix to an
+    array of its shape."""
+    kinds = _PARAM_FORGERIES + ("meta",)
+    kind = kinds[gen.next_below(len(kinds))]
+    tensors = dict(saved)
+    params = sorted(n for n in saved if not n.startswith(("meta/", "opt/", "train/")))
+    name = params[gen.next_below(len(params))]
+    blocks = sorted({n.split(".")[0] for n in params if n.startswith("dec/block")})
+    if kind == "drop" or (kind == "remove block" and not blocks):
+        del tensors[name]
+    elif kind == "rename":
+        at = gen.next_below(len(name) + 1)
+        new = name[:at] + "xyz_"[gen.next_below(4)] + name[at:]
+        assert new not in saved
+        tensors[new] = tensors.pop(name)
+    elif kind == "reshape":
+        shape = list(saved[name].shape)
+        axis = gen.next_below(len(shape))
+        how = gen.next_below(3)
+        if how == 0:
+            shape.append(1)
+        elif how == 1 and shape[axis] > 1:
+            shape[axis] -= 1
+        else:
+            shape[axis] += 1
+        tensors[name] = np.zeros(shape, dtype=np.float32)
+    elif kind == "stray":
+        new = _STRAY_NAMES[gen.next_below(len(_STRAY_NAMES))]
+        while new in saved:
+            new += "x"
+        tensors[new] = np.zeros(1 + gen.next_below(9), dtype=np.float32)
+    elif kind == "add block":
+        tensors.update({f"dec/block{len(blocks)}.{n}": a for n, a in block.items()})
+    elif kind == "remove block":
+        for n in params:
+            if n.startswith(blocks[-1] + "."):
+                del tensors[n]
+    else:
+        keys = sorted(n for n in saved if n.startswith("meta/"))
+        key = keys[gen.next_below(len(keys))]
+        arr = np.array(saved[key], dtype=np.float32).reshape(-1)
+        arr[gen.next_below(arr.size)] = (
+            gen.next_below(12) - 2, gen.next_float() * 10, (gen.next_float() - 0.5) * 2e6,
+            float("nan"), float("inf"), -float("inf"))[gen.next_below(6)]
+        tensors[key] = arr.reshape(np.shape(saved[key]))
+    return kind, tensors
+
+
+@pytest.mark.parametrize("seed,task,head", [(1, "seg", "cluster"), (2, "depth", "cluster"),
+                                            (3, "normal", "baseline")])
+def test_seeded_forgeries_load_or_fail_with_a_contract_error(tmp_path, seed, task, head):
+    small = dict(d=8, widths=(4, 8, 8))
+    path = str(tmp_path / "forged.pmxc")
+    save_model(path, Model(ModelConfig(task=task, head=head, **small), seed=0),
+               {"step": np.float32(2)}, {"lr": [5e-4]})
+    saved = read_checkpoint(path)
+    block = {n.split(".", 1)[1]: p.data for n, p in
+             Model(ModelConfig(task="depth", **small), seed=0).params().items()
+             if n.startswith("dec/block0.")}
+    gen = SplitMix64(seed)
+    seen, wrong = set(), []
+    for case in range(100):
+        kind, tensors = _forged(saved, block, gen)
+        seen.add(kind)
+        write_checkpoint(path, tensors)
+        try:
+            load_model(path)
+            outcome = "loaded"
+        except (ContractError, FormatError) as exc:
+            outcome = type(exc).__name__
+        if kind != "meta" and outcome != "ContractError":
+            wrong.append((case, kind, outcome))
+    assert seen == set(_PARAM_FORGERIES) | {"meta"}
+    assert wrong == []
