@@ -6,7 +6,10 @@ inputs, and hands both to ``_result``.  ``_result`` keeps the parents and
 the closure only when graph recording is on and some parent requires grad;
 otherwise the output is a plain constant and the closure is dropped.
 Calling ``backward()`` on a scalar loss runs the closures in reverse
-topological order, accumulating into ``.grad`` additively.
+topological order, adding each input's share into its ``.grad``, and frees
+the graph as the walk passes it: once an interior node's closure has run,
+its ``.grad``, closure and parents are dropped, so only leaves (parameters
+and inputs) keep ``.grad``, and a graph backpropagates once.
 
 The op set is deliberately closed: elementwise arithmetic, matmul (2D, batched
 3D, and 3D @ 2D), NCHW 3x3 convolution at stride 1 or 2 with padding 1 (the
@@ -31,7 +34,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import precision
-from .errors import ShapeError
+from .errors import ContractError, ShapeError
 
 _grad_enabled = True
 
@@ -74,9 +77,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accum(self, g: np.ndarray, owned: bool = False) -> None:
         """Add g into .grad.  The first accumulation copies g, unless the op
         says it built g for this input alone (``owned``): then .grad takes
@@ -91,7 +91,14 @@ class Tensor:
             self.grad += g
 
     def backward(self) -> None:
-        """Backprop from a scalar.  Raises ShapeError on non-scalar tensors."""
+        """Backprop from a scalar, freeing the graph on the way.
+
+        Each interior node's closure runs once all its consumers have added
+        their share into its ``.grad``; then the node drops its ``.grad``,
+        closure and parents (``_parents`` becomes None, unlike a leaf's
+        ``()``).  Leaves keep ``.grad``.  Raises ShapeError on a non-scalar
+        and ContractError on a graph that has already been backpropagated.
+        """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar, got shape {self.shape}")
         order: List[Tensor] = []
@@ -104,15 +111,20 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._parents is None:
+                raise ContractError("backward() reached a graph that was already backpropagated")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backfn is not None and node.grad is not None:
-                node._backfn(node.grad)
+        while order:
+            node = order.pop()
+            if node._backfn is not None:
+                if node.grad is not None:
+                    node._backfn(node.grad)
+                node.grad = node._backfn = node._parents = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -133,9 +145,6 @@ class Tensor:
             return _binary(self, other, self.data - other.data, lambda g: g, lambda g: -g)
         return self.__add__(-other)
 
-    def __rsub__(self, other):
-        return self.__neg__().__add__(other)
-
     def __neg__(self):
         return _result(-self.data, (self,), lambda g: self._accum(-g, owned=True))
 
@@ -154,10 +163,6 @@ class Tensor:
             return _binary(self, other, self.data / other.data, lambda g: g / other.data,
                            lambda g: -g * self.data / (other.data * other.data), owned=True)
         return self.__mul__(1.0 / other)
-
-    def __rtruediv__(self, other):
-        return _result(other / self.data, (self,),
-                       lambda g: self._accum(-g * other / (self.data * self.data), owned=True))
 
     # ---- unary elementwise --------------------------------------------------
 
@@ -235,9 +240,6 @@ class Tensor:
             return s.reshape(-1, s.shape[-1]).T @ g.reshape(-1, other.shape[-1])
         return _binary(self, other, a @ b,
                        lambda g: g @ other.data.swapaxes(-1, -2), grad_other, owned=True)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return self.matmul(other)
 
     def transpose_last2(self) -> "Tensor":
         if self.ndim < 2:
@@ -542,10 +544,6 @@ def one_hot(indices: np.ndarray, k: int) -> Tensor:
     out = np.zeros(idx.shape + (k,), dtype=precision.dtype())
     np.put_along_axis(out, idx[..., None], 1.0, axis=-1)
     return Tensor(out)
-
-
-def constant(data) -> Tensor:
-    return Tensor(data, requires_grad=False)
 
 
 def parameter(data) -> Tensor:

@@ -25,7 +25,7 @@ import numpy as np
 
 from pmx import precision
 from pmx.rng import SplitMix64, mix_seed_index
-from pmx.tensor import Tensor, constant, no_grad, parameter
+from pmx.tensor import Tensor, no_grad, parameter
 
 
 def gradcheck(
@@ -50,7 +50,7 @@ def gradcheck(
         out = fn(*inputs)
         gen = SplitMix64(mix_seed_index(seed, 0xC3EC))
         proj = gen.normals(out.data.size).reshape(out.shape)
-        loss = (out * constant(proj)).sum()
+        loss = (out * Tensor(proj)).sum()
         loss.backward()
 
         def grad_of(t: Tensor) -> np.ndarray:
@@ -60,7 +60,7 @@ def gradcheck(
 
         def scalar() -> float:
             with no_grad():
-                y = fn(*[constant(a) for a in arrays])
+                y = fn(*[Tensor(a) for a in arrays])
             return float((y.data * proj).sum())
 
         storages = arrays + [p.data for p in params]

@@ -243,7 +243,7 @@ def _leaves(seed, *shapes):
 def _grads_after(out, leaves, seed):
     w = Tensor(SplitMix64(seed).normals(out.data.size).reshape(out.shape))
     for t in leaves:
-        t.zero_grad()
+        t.grad = None
     (out * w).sum().backward()
     return [t.grad.copy() for t in leaves]
 

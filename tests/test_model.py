@@ -138,24 +138,32 @@ def test_load_model_draws_no_weights(tmp_path, monkeypatch, task, head):
         assert np.array_equal(opt[name], arr)
 
 
-def test_training_step_gradients_share_no_memory(rng):
+def _normal_step_loss(rng):
     model = Model(ModelConfig(task="normal"), seed=0)
     out = model.train_outputs(_images(rng))["normal"]
     target = Tensor(rng.normal(size=out.shape))
-    loss = ((out - target) * (out - target)).mean()
+    return model, ((out - target) * (out - target)).mean()
+
+
+def test_training_step_gradients_share_no_memory(rng, made_grads):
+    _, loss = _normal_step_loss(rng)
     loss.backward()
-    seen, stack, grads = set(), [loss], []
+    assert len(made_grads) > 100
+    for i, a in enumerate(made_grads):
+        for b in made_grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def test_training_step_backward_leaves_only_leaves(rng):
+    model, loss = _normal_step_loss(rng)
+    loss.backward()
+    stack = [loss]
     while stack:
         node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            if node.grad is not None:
-                grads.append(node.grad)
-            stack.extend(node._parents)
-    assert len(grads) > 100
-    for i, a in enumerate(grads):
-        for b in grads[i + 1:]:
-            assert not np.shares_memory(a, b)
+        assert node._backfn is None
+        stack.extend(node._parents or ())
+    for name, p in model.params().items():
+        assert p.grad is not None and np.all(np.isfinite(p.grad)), name
 
 
 def test_load_missing_and_mismatched_parameter(tmp_path):
