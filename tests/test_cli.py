@@ -1,5 +1,6 @@
 """End-to-end command-line flows on tiny datasets."""
 
+import hashlib
 import json
 import os
 import struct
@@ -40,6 +41,19 @@ def test_generate_writes_dataset_and_manifest(data):
     manifest = json.load(open(data + ".json"))
     assert manifest["classes"] == ["back_wall", "floor", "sphere", "box"]
     assert manifest["config"]["size"] == 16
+
+
+def test_generate_output_bytes_golden(tmp_path):
+    # the dataset file (header, then every sample) and its manifest, byte for byte
+    out = tmp_path / "g.pmxd"
+    assert main(["generate", "--count", "2", "--size", "16", "--seed", "3",
+                 "--out", str(out)]) == 0
+    want = {
+        "g.pmxd": "e3d7d9733d0719bdd0e7d8d824be309f28ff16def6d690d297a2f193f2de09eb",
+        "g.pmxd.json": "6cb3e466a18902460254616fcd5a44c5c9161de31173dfc690372f7ea3f441f3",
+    }
+    for name, digest in want.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_generate_rejects_bad_count(tmp_path):
