@@ -16,7 +16,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict
 from typing import List, Optional
 
 import numpy as np
@@ -28,7 +27,8 @@ from .formats import read_dataset, write_dataset
 from .losses import LossConfig
 from .metrics import METRIC_KEYS
 from .model import HEAD_KINDS, TASKS, VARIANTS, load_model
-from .scene import CLASS_NAMES, N_CLASSES, SceneConfig, generate_split
+from .scene import (CLASS_NAMES, D_MAX, D_MIN, LIGHT, N_CLASSES, NOISE_STD, NUM_PRIMS_MAX,
+                    NUM_PRIMS_MIN, SceneConfig, generate_split)
 from .tensor import Tensor
 from .train import (LR_PRESETS, TrainConfig, ablate_k, compare_baseline,
                     evaluate, model_config, train)
@@ -123,11 +123,13 @@ def cmd_generate(args) -> int:
     samples = generate_split(args.seed, args.count, cfg)
     manifest = {
         "seed": args.seed,
-        "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in asdict(cfg).items()},
+        "config": {"size": cfg.size, "num_prims_min": NUM_PRIMS_MIN,
+                   "num_prims_max": NUM_PRIMS_MAX, "d_min": D_MIN, "d_max": D_MAX,
+                   "light": LIGHT.tolist(), "noise_std": NOISE_STD},
         "classes": list(CLASS_NAMES),
         "normal_frame": "camera frame; visible hemisphere has n . ray < 0",
     }
-    write_dataset(args.out, samples, N_CLASSES, cfg.d_min, cfg.d_max, manifest)
+    write_dataset(args.out, samples, N_CLASSES, D_MIN, D_MAX, manifest)
     print(f"wrote {args.count} samples to {args.out}")
     return 0
 
@@ -167,11 +169,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     header, samples = read_dataset(args.data)
-    if args.oracle:
-        report = evaluate(None, samples, args.task, oracle=True, classes=header.classes)
-    else:
-        model, _ = load_model(args.ckpt)
-        report = evaluate(model, samples, args.task)
+    model = None if args.oracle else load_model(args.ckpt)[0]
+    report = evaluate(model, samples, args.task, classes=header.classes)
     line = report.to_json()
     print(line)
     if args.report:

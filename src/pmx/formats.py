@@ -37,6 +37,8 @@ DATASET_VERSION = 1
 CHECKPOINT_VERSION = 2
 IGNORE_LABEL = 255  # the one label byte allowed at or above the header's class count
 
+_U16, _U32, _F32_MAX = 0xFFFF, 0xFFFFFFFF, float(np.finfo(np.float32).max)  # header fields
+
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
@@ -86,9 +88,17 @@ def write_dataset(
     d_max: float,
     manifest: dict = None,
 ) -> None:
+    """A header field the format cannot hold (or a reader refuses) raises
+    ContractError before anything is written."""
     if len(samples) == 0:
         raise ContractError("dataset must contain at least one sample")
     h, w = samples[0].labels.shape
+    for name, value, top in (("sample count", len(samples), _U32), ("height", h, _U16),
+                             ("width", w, _U16), ("classes", classes, _U16)):
+        if not 1 <= value <= top:
+            raise ContractError(f"dataset {name} {value} outside the header's range 1..{top}")
+    if not 0 < d_min < d_max <= _F32_MAX:
+        raise ContractError(f"dataset depth range [{d_min}, {d_max}] not within (0, {_F32_MAX:g}]")
     parts = [
         DATASET_MAGIC,
         struct.pack("<IIHHH", DATASET_VERSION, len(samples), h, w, classes),

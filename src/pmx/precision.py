@@ -13,41 +13,25 @@ import os
 
 import numpy as np
 
-_FLOAT32 = np.float32
-_FLOAT64 = np.float64
-
-_active_dtype = _FLOAT64 if os.environ.get("PMX_VERIFY") == "1" else _FLOAT32
-_debug_checks = os.environ.get("PMX_VERIFY") == "1"
+_verify = os.environ.get("PMX_VERIFY") == "1"
 
 
 def dtype() -> type:
     """Active floating-point dtype for newly created tensors."""
-    return _active_dtype
+    return np.float64 if _verify else np.float32
 
 
 def debug() -> bool:
     """Whether per-op finiteness assertions are enabled."""
-    return _debug_checks
-
-
-def set_verify(on: bool) -> None:
-    global _active_dtype, _debug_checks
-    _active_dtype = _FLOAT64 if on else _FLOAT32
-    _debug_checks = bool(on)
-
-
-def _restore(dt, dbg) -> None:
-    global _active_dtype, _debug_checks
-    _active_dtype = dt
-    _debug_checks = dbg
+    return _verify
 
 
 @contextlib.contextmanager
 def verify():
     """Temporarily switch to float64 with debug assertions."""
-    prev = (_active_dtype, _debug_checks)
-    set_verify(True)
+    global _verify
+    prev, _verify = _verify, True
     try:
         yield
     finally:
-        _restore(*prev)
+        _verify = prev

@@ -1,15 +1,18 @@
 """Procedural ray-cast scenes with exact dense ground truth.
 
 Each sample is an indoor-like arrangement: a back wall (class 0) at
-z = d_max, a floor plane (class 1) at y = -1, and 1-4 primitives (spheres,
-class 2; axis-aligned boxes, class 3) resting in front of a pinhole camera
-at the origin looking along +z with a 60 degree vertical field of view.
+z = D_MAX, a floor plane (class 1) at y = -1, and NUM_PRIMS_MIN to
+NUM_PRIMS_MAX (1 to 4) primitives (spheres, class 2; axis-aligned boxes,
+class 3) resting in front of a pinhole camera at the origin looking along
++z with a 60 degree vertical field of view.
 
 One ray per pixel gives, analytically: the semantic class of the nearest
 hit, its z-depth (the z coordinate of the hit point, not the ray length,
-clamped to [d_min, d_max]), and the camera-frame surface normal oriented so
-n . ray < 0.  The image is Lambertian shading over a per-class albedo with
-fixed light direction plus Gaussian pixel noise.
+clamped to [D_MIN, D_MAX] = [0.5, 10]), and the camera-frame surface normal
+oriented so n . ray < 0.  The image is Lambertian shading over a per-class
+albedo with the fixed unit light direction LIGHT, plus Gaussian pixel noise
+of std NOISE_STD.  These settings are constants; SceneConfig holds only the
+image size.
 
 Casting works on whole images.  The rays of each image size are built
 once and kept read-only, both as ``(h, w, 3)`` directions and as three
@@ -19,7 +22,7 @@ floor, spheres, boxes) and lets a hit take a pixel only when its t is
 strictly smaller than the best so far.  Of equal hits the first in that
 order wins, so a box face lying in the wall plane stays wall.
 
-Everything is a pure function of (seed, index, config), so any sample can
+Everything is a pure function of (seed, index, size), so any sample can
 be regenerated alone, in any order, bit-identically.
 """
 
@@ -38,7 +41,7 @@ from .rng import SplitMix64, mix_seed_index
 N_CLASSES = 4
 CLASS_NAMES = ("back_wall", "floor", "sphere", "box")
 
-# shading constants: albedo per class, ambient + diffuse split
+# shading constants: albedo per class, ambient + diffuse split, light, noise std
 ALBEDO = np.array(
     [
         [0.30, 0.42, 0.88],
@@ -49,42 +52,33 @@ ALBEDO = np.array(
 )
 AMBIENT = 0.25
 DIFFUSE = 0.75
+LIGHT = np.array([0.35, 0.75, -0.55])
+LIGHT /= np.linalg.norm(LIGHT)
+NOISE_STD = 0.01
+
+NUM_PRIMS_MIN, NUM_PRIMS_MAX = 1, 4   # primitives per scene
+D_MIN, D_MAX = 0.5, 10.0              # depth range; the back wall stands at D_MAX
+MAX_SIZE = 65535                      # the dataset header stores H and W as u16
 
 _EPS_T = 1e-6
-
-
-def _unit(v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    return v / np.linalg.norm(v)
 
 
 @dataclass(frozen=True)
 class SceneConfig:
     size: int = 64
-    num_prims_min: int = 1
-    num_prims_max: int = 4
-    d_min: float = 0.5
-    d_max: float = 10.0
-    light: Tuple[float, float, float] = tuple(_unit((0.35, 0.75, -0.55)))
-    noise_std: float = 0.01
 
     def validate(self) -> None:
-        if not (0 < self.d_min < self.d_max):
-            raise ContractError(f"depth range [{self.d_min}, {self.d_max}] invalid")
         if self.size < 16:
             raise ContractError(f"image size {self.size} below minimum 16")
-        if not (1 <= self.num_prims_min <= self.num_prims_max):
-            raise ContractError("primitive count range invalid")
-        norm = math.sqrt(sum(c * c for c in self.light))
-        if abs(norm - 1.0) > 1e-6:
-            raise ContractError(f"light direction norm {norm} not unit")
+        if self.size > MAX_SIZE:
+            raise ContractError(f"image size {self.size} above maximum {MAX_SIZE}")
 
 
 @dataclass
 class Sample:
     image: np.ndarray   # (H, W, 3) float32 in [0, 1]
     labels: np.ndarray  # (H, W) uint8
-    depth: np.ndarray   # (H, W) float32 in [d_min, d_max]
+    depth: np.ndarray   # (H, W) float32 in [D_MIN, D_MAX]
     normal: np.ndarray  # (H, W, 3) float32, unit rows, n.z <= 0 hemisphere
 
 
@@ -184,12 +178,12 @@ def _cast_box(slab: np.ndarray, box: Box):
     return t, n
 
 
-def cast_scene(cfg: SceneConfig, scene: Scene, h: int, w: int):
+def cast_scene(scene: Scene, h: int, w: int):
     """Analytic ground truth for every pixel: labels, depth, normal."""
     dirs, planes, slab = _ray_planes(h, w)
     dz = planes[2]
-    # the back wall z = d_max is always hit: the running z-buffer starts there
-    t_best = cfg.d_max / dz
+    # the back wall z = D_MAX is always hit: the running z-buffer starts there
+    t_best = D_MAX / dz
     n_best = (0.0, 0.0, -1.0)
     labels = np.zeros((h, w), dtype=np.uint8)
     with np.errstate(divide="ignore"):
@@ -209,17 +203,16 @@ def cast_scene(cfg: SceneConfig, scene: Scene, h: int, w: int):
     normal = np.empty((h, w, 3))
     for k, nk in enumerate(n_best):
         normal[:, :, k] = np.where(flip, -nk, nk)
-    depth = np.clip(t_best * dz, cfg.d_min, cfg.d_max)
+    depth = np.clip(t_best * dz, D_MIN, D_MAX)
     return labels, depth, normal
 
 
 # ---- procedural sampling -------------------------------------------------------
 
 
-def sample_scene(gen: SplitMix64, cfg: SceneConfig) -> Scene:
+def sample_scene(gen: SplitMix64) -> Scene:
     """Draw primitive poses from the generator in a fixed order."""
-    span = cfg.num_prims_max - cfg.num_prims_min + 1
-    count = cfg.num_prims_min + gen.next_below(span)
+    count = NUM_PRIMS_MIN + gen.next_below(NUM_PRIMS_MAX - NUM_PRIMS_MIN + 1)
     scene = Scene()
     for _ in range(count):
         kind = gen.next_below(2)
@@ -241,22 +234,21 @@ def sample_scene(gen: SplitMix64, cfg: SceneConfig) -> Scene:
     return scene
 
 
-def shade(labels: np.ndarray, normal: np.ndarray, cfg: SceneConfig) -> np.ndarray:
+def shade(labels: np.ndarray, normal: np.ndarray) -> np.ndarray:
     """Lambertian image: albedo[class] * (ambient + diffuse * max(0, n.L))."""
-    light = np.asarray(cfg.light, dtype=np.float64)
-    lam = AMBIENT + DIFFUSE * np.maximum(0.0, normal @ light)
+    lam = AMBIENT + DIFFUSE * np.maximum(0.0, normal @ LIGHT)
     return ALBEDO[labels] * lam[..., None]
 
 
 def generate_sample(seed: int, index: int, cfg: SceneConfig) -> Sample:
-    """Pure function of (seed, index, cfg)."""
+    """Pure function of (seed, index, cfg.size)."""
     cfg.validate()
     gen = SplitMix64(mix_seed_index(seed, index))
     h = w = cfg.size
-    scene = sample_scene(gen, cfg)
-    labels, depth, normal = cast_scene(cfg, scene, h, w)
-    image = shade(labels, normal, cfg)
-    noise = gen.normals(h * w * 3).reshape(h, w, 3) * cfg.noise_std
+    scene = sample_scene(gen)
+    labels, depth, normal = cast_scene(scene, h, w)
+    image = shade(labels, normal)
+    noise = gen.normals(h * w * 3).reshape(h, w, 3) * NOISE_STD
     image = np.clip(image + noise, 0.0, 1.0)
     return Sample(
         image=image.astype(np.float32),

@@ -6,10 +6,12 @@ concatenated per-epoch Fisher-Yates permutations keyed by the run seed and
 epoch index - so resuming from a checkpoint needs only the optimizer state
 and step count, not a serialized cursor.
 
-AdamW follows the decoupled form: the weight-decay shrink p *= 1 - lr*wd
-is applied before the bias-corrected adaptive update.  Parameters whose
-names start with ``enc/`` (the convolutional encoder-decoder) take a
-reduced learning rate via a group multiplier.
+AdamW follows the decoupled form: the weight-decay shrink
+p *= 1 - lr*WEIGHT_DECAY is applied before the bias-corrected adaptive
+update.  Parameters whose names start with ``enc/`` (the convolutional
+encoder-decoder) take the learning rate times ENC_LR_MULT.  Besides the
+learning rate its settings are constants: WEIGHT_DECAY, ENC_LR_MULT,
+BETA1/BETA2 and ADAM_EPS.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ from .scene import Sample
 from .tensor import Tensor
 
 LR_PRESETS = {"pretrain": 5e-4, "finetune": 5e-5}
+
+WEIGHT_DECAY = 0.05
+ENC_LR_MULT = 0.1
+BETA1, BETA2 = 0.9, 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -57,22 +64,16 @@ class TrainConfig:
 
 
 class AdamW:
-    def __init__(self, params: Dict[str, Tensor], lr: float, weight_decay: float = 0.05,
-                 betas: Tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 backbone_lr_mult: float = 0.1):
+    def __init__(self, params: Dict[str, Tensor], lr: float):
         self.params = params
         self.names = sorted(params)
         self.lr = lr
-        self.wd = weight_decay
-        self.b1, self.b2 = betas
-        self.eps = eps
-        self.mult = backbone_lr_mult
         self.t = 0
         self.m = {n: np.zeros_like(params[n].data) for n in self.names}
         self.v = {n: np.zeros_like(params[n].data) for n in self.names}
 
     def _group_lr(self, name: str) -> float:
-        return self.lr * (self.mult if name.startswith("enc/") else 1.0)
+        return self.lr * (ENC_LR_MULT if name.startswith("enc/") else 1.0)
 
     def zero_grad(self) -> None:
         for n in self.names:
@@ -80,18 +81,18 @@ class AdamW:
 
     def step(self) -> None:
         self.t += 1
-        c1 = 1.0 - self.b1 ** self.t
-        c2 = 1.0 - self.b2 ** self.t
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
         for n in self.names:
             p = self.params[n]
             glr = self._group_lr(n)
-            p.data *= 1.0 - glr * self.wd
+            p.data *= 1.0 - glr * WEIGHT_DECAY
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[n] = self.b1 * self.m[n] + (1.0 - self.b1) * g
-            self.v[n] = self.b2 * self.v[n] + (1.0 - self.b2) * g * g
+            self.m[n] = BETA1 * self.m[n] + (1.0 - BETA1) * g
+            self.v[n] = BETA2 * self.v[n] + (1.0 - BETA2) * g * g
             mhat = self.m[n] / c1
             vhat = self.v[n] / c2
-            p.data -= glr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data -= glr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
     def clip_global_norm(self, max_norm: float) -> float:
         total = 0.0
@@ -196,9 +197,10 @@ def _targets(task: str, labels, depth, normal) -> Dict[str, np.ndarray]:
 
 
 def evaluate(model: Optional[Model], samples: Sequence[Sample], task: str,
-             oracle: bool = False, batch: int = 8, classes: int = 4) -> MetricReport:
-    """Pooled metrics over the split.  oracle=True scores the ground truth
-    against itself (a perfect-report bypass used to validate the pipeline)."""
+             batch: int = 8, classes: int = 4) -> MetricReport:
+    """Pooled metrics over the split.  ``model=None`` scores the ground truth
+    against itself over ``classes`` (a perfect-report bypass used to validate
+    the pipeline); a model scores over its own classes."""
     if model is not None:
         if model.cfg.task != task:
             raise ContractError(f"checkpoint trained for {model.cfg.task!r}, not {task!r}")
@@ -211,7 +213,7 @@ def evaluate(model: Optional[Model], samples: Sequence[Sample], task: str,
         idx = np.arange(start, min(start + batch, len(samples)))
         images, labels, depth, normal = _batch_arrays(samples, idx)
         gt = {"seg": labels, "depth": depth, "normal": normal}[task]
-        preds.append(gt if oracle else model.predict(Tensor(images)))
+        preds.append(gt if model is None else model.predict(Tensor(images)))
         gts.append(gt)
     pred, gt = np.concatenate(preds), np.concatenate(gts)
     pixels = gt.size // 3 if task == "normal" else gt.size

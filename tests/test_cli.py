@@ -74,6 +74,18 @@ def test_generate_onto_directory_is_one_line_runtime_error(tmp_path, capsys):
     assert [f for f in os.listdir(tmp_path) if ".tmp." in f] == []
 
 
+def test_generate_size_the_header_cannot_hold_is_usage_error(tmp_path, capsys, monkeypatch):
+    # refused before any scene is cast: a 65536-pixel side would be 2**32 rays
+    def no_work(*args, **kwargs):
+        raise AssertionError("generate_split ran")
+    monkeypatch.setattr("pmx.cli.generate_split", no_work)
+    out = tmp_path / "x.pmxd"
+    assert main(["generate", "--size", "65536", "--count", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "65535" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("size", ["20", "18"])
 def test_generate_rejects_size_depth_training_cannot_use(tmp_path, capsys, size):
     out = tmp_path / "x.pmxd"

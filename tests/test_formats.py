@@ -19,6 +19,7 @@ from pmx.formats import (
     write_dataset,
 )
 from pmx.netpbm import quantize, read_pgm, read_ppm, write_pgm, write_ppm
+from pmx.scene import Sample
 
 
 def _write(tmp_path, samples, name="d.pmxd", manifest=None):
@@ -124,6 +125,25 @@ def test_dataset_rejects_empty_and_ragged(tmp_path, small_split):
     ragged[1] = dataclasses.replace(ragged[1], labels=ragged[1].labels[:32])
     with pytest.raises(ContractError):
         write_dataset(str(tmp_path / "r.pmxd"), ragged, 4, 0.5, 10.0)
+
+
+def _one_row(w):
+    return Sample(image=np.zeros((1, w, 3), np.float32), labels=np.zeros((1, w), np.uint8),
+                  depth=np.ones((1, w), np.float32), normal=np.zeros((1, w, 3), np.float32))
+
+
+def test_dataset_header_field_out_of_range_is_a_contract_error(tmp_path):
+    # H, W and classes are u16 in the header: a 1 x 65536 sample cannot be written
+    path = tmp_path / "w.pmxd"
+    with pytest.raises(ContractError, match="width 65536"):
+        write_dataset(str(path), [_one_row(65536)], 4, 0.5, 10.0)
+    for classes, d_min, d_max in ((65536, 0.5, 10.0), (0, 0.5, 10.0), (4, 10.0, 0.5),
+                                  (4, 0.0, 10.0), (4, 0.5, 1e39)):
+        with pytest.raises(ContractError):
+            write_dataset(str(path), [_one_row(4)], classes, d_min, d_max)
+    assert not path.exists()
+    write_dataset(str(path), [_one_row(4)], 65535, 0.5, 10.0)
+    assert read_dataset(str(path))[0].classes == 65535
 
 
 def test_manifest_sidecar_roundtrip(tmp_path, small_split):

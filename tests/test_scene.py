@@ -10,8 +10,11 @@ from pmx.rng import SplitMix64, mix_seed_index
 from pmx.scene import (
     ALBEDO,
     CLASS_NAMES,
+    D_MAX,
+    D_MIN,
     N_CLASSES,
     Box,
+    Sample,
     Scene,
     SceneConfig,
     Sphere,
@@ -20,6 +23,7 @@ from pmx.scene import (
     generate_sample,
     generate_split,
     sample_scene,
+    shade,
 )
 from scene_oracles import ray_box, ray_sphere
 
@@ -97,16 +101,16 @@ def test_camera_rays_vertical_fov_60_degrees():
 
 def test_wall_only_scene_has_wall_labels_depth_normals():
     cfg = SceneConfig()
-    labels, depth, normal = cast_scene(cfg, Scene(), cfg.size, cfg.size)
+    labels, depth, normal = cast_scene(Scene(), cfg.size, cfg.size)
     top = labels[: labels.shape[0] // 4]
     assert (top == 0).all()  # upper rows see the back wall past the floor
-    assert np.allclose(depth[top.shape[0] - 1], cfg.d_max)
+    assert np.allclose(depth[top.shape[0] - 1], D_MAX)
     np.testing.assert_allclose(normal[0, 0], [0, 0, -1], atol=1e-12)
 
 
 def test_floor_pixels_have_up_normals():
     cfg = SceneConfig()
-    labels, depth, normal = cast_scene(cfg, Scene(), cfg.size, cfg.size)
+    labels, depth, normal = cast_scene(Scene(), cfg.size, cfg.size)
     floor = labels == 1
     assert floor.any()
     np.testing.assert_allclose(normal[floor], [[0, 1, 0]] * int(floor.sum()), atol=1e-12)
@@ -115,7 +119,7 @@ def test_floor_pixels_have_up_normals():
 def test_center_sphere_matches_scalar_oracle():
     cfg = SceneConfig()
     sph = Sphere(center=np.array([0.0, 0.0, 5.0]), radius=1.0)
-    labels, depth, normal = cast_scene(cfg, Scene(spheres=[sph]), cfg.size, cfg.size)
+    labels, depth, normal = cast_scene(Scene(spheres=[sph]), cfg.size, cfg.size)
     h = cfg.size
     rays = camera_rays(h, h)
     mid = h // 2
@@ -131,19 +135,19 @@ def test_center_sphere_matches_scalar_oracle():
 def test_box_in_front_of_wall_wins_depth_race():
     cfg = SceneConfig()
     box = Box(bmin=np.array([-0.5, -0.5, 4.0]), bmax=np.array([0.5, 0.5, 5.0]))
-    labels, depth, normal = cast_scene(cfg, Scene(boxes=[box]), cfg.size, cfg.size)
+    labels, depth, normal = cast_scene(Scene(boxes=[box]), cfg.size, cfg.size)
     mid = cfg.size // 2
     assert labels[mid, mid] == 3
     assert abs(depth[mid, mid] - 4.0) < 1e-3
     np.testing.assert_allclose(normal[mid, mid], [0, 0, -1], atol=1e-9)
 
 
-def _cast_pixel(cfg, scene, d):
+def _cast_pixel(scene, d):
     """One ray through the scalar oracles: (label, depth, normal facing the
     camera, grazing).  ``grazing`` marks a ray whose sphere discriminant or
     box slab gap t_far - t_near is within 1e-9 of zero, where one ulp of a
     3-term dot product can flip the hit."""
-    hits = [(cfg.d_max / d[2], np.array([0.0, 0.0, -1.0]), 0)]
+    hits = [(D_MAX / d[2], np.array([0.0, 0.0, -1.0]), 0)]
     if d[1] < 0:
         hits.append((-1.0 / d[1], np.array([0.0, 1.0, 0.0]), 1))
     grazing = False
@@ -163,19 +167,19 @@ def _cast_pixel(cfg, scene, d):
     t, n, label = min(hits, key=lambda hit: hit[0])  # the first of equal minima
     if n @ d > 0:
         n = -n
-    return label, np.clip(t * d[2], cfg.d_min, cfg.d_max), n, grazing
+    return label, np.clip(t * d[2], D_MIN, D_MAX), n, grazing
 
 
-def _assert_matches_oracles(cfg, scene, h, w):
+def _assert_matches_oracles(scene, h, w):
     """Every pixel of ``cast_scene`` against the scalar oracles; returns the
     number of grazing pixels skipped."""
-    labels, depth, normal = cast_scene(cfg, scene, h, w)
+    labels, depth, normal = cast_scene(scene, h, w)
     assert labels.shape == depth.shape == (h, w) and normal.shape == (h, w, 3)
     rays = camera_rays(h, w)
     skipped = 0
     for i in range(h):
         for j in range(w):
-            label, z, n, grazing = _cast_pixel(cfg, scene, rays[i, j])
+            label, z, n, grazing = _cast_pixel(scene, rays[i, j])
             if grazing:
                 skipped += 1
                 continue
@@ -188,18 +192,16 @@ def _assert_matches_oracles(cfg, scene, h, w):
 @pytest.mark.parametrize("seed,index,h,w", [(0, 0, 32, 32), (1, 4, 32, 40),
                                             (2, 5, 40, 32), (1, 0, 32, 32)])
 def test_cast_scene_matches_scalar_oracles_at_every_pixel(seed, index, h, w):
-    cfg = SceneConfig()
-    scene = sample_scene(SplitMix64(mix_seed_index(seed, index)), cfg)
+    scene = sample_scene(SplitMix64(mix_seed_index(seed, index)))
     assert scene.spheres and scene.boxes
-    skipped = _assert_matches_oracles(cfg, scene, h, w)
+    skipped = _assert_matches_oracles(scene, h, w)
     assert skipped <= 2, f"{skipped} grazing pixels skipped"
 
 
 def test_camera_inside_sphere_sees_exit_hits_facing_the_camera():
-    cfg = SceneConfig()
     scene = Scene(spheres=[Sphere(center=np.array([0.1, 0.05, 0.3]), radius=1.0)])
-    assert _assert_matches_oracles(cfg, scene, 16, 16) == 0
-    labels, _, normal = cast_scene(cfg, scene, 16, 16)
+    assert _assert_matches_oracles(scene, 16, 16) == 0
+    labels, _, normal = cast_scene(scene, 16, 16)
     assert (labels == 2).all()
     assert ((normal * camera_rays(16, 16)).sum(axis=-1) < 0).all()
 
@@ -208,10 +210,9 @@ def test_camera_inside_sphere_sees_exit_hits_facing_the_camera():
 def test_camera_inside_box_sees_exit_faces_facing_the_camera(zmax):
     # zmax 0.5: every ray leaves through the z face; zmax 50: through the x
     # and y faces (diagonal ties go to x), or the wall is nearer
-    cfg = SceneConfig()
     scene = Scene(boxes=[Box(np.array([-0.5, -0.5, -0.5]), np.array([0.5, 0.5, zmax]))])
-    assert _assert_matches_oracles(cfg, scene, 16, 16) == 0
-    labels, _, normal = cast_scene(cfg, scene, 16, 16)
+    assert _assert_matches_oracles(scene, 16, 16) == 0
+    labels, _, normal = cast_scene(scene, 16, 16)
     assert (labels == 3).sum() >= 16 * 16 // 2
     assert ((normal * camera_rays(16, 16)).sum(axis=-1) < 0).all()
 
@@ -220,7 +221,6 @@ def test_box_entry_ties_go_to_x_then_y_then_z():
     # pixel (27, 36) of a 64x64 image looks along d with d_x == d_y exactly;
     # a box whose min corner lies on that ray is entered through x, y and z at
     # once (or x and y), and the x face takes the pixel, as in ray_box
-    cfg = SceneConfig()
     i, j = 27, 36
     d = camera_rays(64, 64)[i, j]
     assert d[0] == d[1]
@@ -228,7 +228,7 @@ def test_box_entry_ties_go_to_x_then_y_then_z():
     for zmin in (a / d[0] * d[2], 2.0):
         bmin = np.array([a, a, zmin])
         bmax = bmin + np.array([1.0, 1.0, 5.0])
-        labels, _, normal = cast_scene(cfg, Scene(boxes=[Box(bmin, bmax)]), 64, 64)
+        labels, _, normal = cast_scene(Scene(boxes=[Box(bmin, bmax)]), 64, 64)
         assert labels[i, j] == 3
         assert normal[i, j].tolist() == [-1.0, 0.0, 0.0]
         assert ray_box((0, 0, 0), d, bmin, bmax)[1].tolist() == [-1.0, 0.0, 0.0]
@@ -243,11 +243,11 @@ def test_box_face_in_wall_plane_keeps_wall_label():
     def box_at(front):
         return Scene(boxes=[Box(np.array([-1.0, -0.5, front]), np.array([1.0, 0.5, front + 1.0]))])
 
-    empty = cast_scene(cfg, Scene(), n, n)
-    tied = cast_scene(cfg, box_at(cfg.d_max), n, n)
+    empty = cast_scene(Scene(), n, n)
+    tied = cast_scene(box_at(D_MAX), n, n)
     for a, b in zip(empty, tied):
         assert np.array_equal(a, b)
-    ahead = cast_scene(cfg, box_at(cfg.d_max - 1e-3), n, n)[0]
+    ahead = cast_scene(box_at(D_MAX - 1e-3), n, n)[0]
     assert (ahead == 3).sum() > 50
 
 
@@ -256,7 +256,7 @@ def test_generated_samples_satisfy_invariants():
     for s in generate_split(seed=3, count=100, cfg=cfg):
         assert s.image.dtype == np.float32 and s.image.min() >= 0 and s.image.max() <= 1
         assert s.labels.dtype == np.uint8 and s.labels.max() < N_CLASSES
-        assert s.depth.min() >= cfg.d_min - 1e-6 and s.depth.max() <= cfg.d_max + 1e-6
+        assert s.depth.min() >= D_MIN - 1e-6 and s.depth.max() <= D_MAX + 1e-6
         norms = np.linalg.norm(s.normal.astype(np.float64), axis=-1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-5)
 
@@ -295,24 +295,34 @@ def test_sample_regeneration_is_bit_identical():
         assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
-# (seed, index, config) -> the first 16 hex digits of the sha256 of the bytes
-# of image, labels, depth and normal: any change to what the generator writes
-# fails here.  Sizes 16-128, a noise-free config, and scenes with spheres and
-# boxes together (0/0, 1/4, 2/5), boxes only (2/3, 0/7) and a sphere only (0/2).
+def _noise_free_sample(seed: int, index: int, size: int) -> Sample:
+    """``generate_sample`` without its pixel noise: the same scene, ground
+    truth and shading, with the shaded image clipped to [0, 1]."""
+    scene = sample_scene(SplitMix64(mix_seed_index(seed, index)))
+    labels, depth, normal = cast_scene(scene, size, size)
+    image = np.clip(shade(labels, normal), 0.0, 1.0)
+    return Sample(image=image.astype(np.float32), labels=labels,
+                  depth=depth.astype(np.float32), normal=normal.astype(np.float32))
+
+
+# (seed, index, size, noise) -> the first 16 hex digits of the sha256 of the
+# bytes of image, labels, depth and normal: any change to what the generator
+# writes fails here.  Sizes 16-128, a noise-free image, and scenes with spheres
+# and boxes together (0/0, 1/4, 2/5), boxes only (2/3, 0/7) and a sphere only (0/2).
 _GOLDEN = [
-    (0, 0, SceneConfig(size=16),
+    (0, 0, 16, True,
      ("170ade5546b165c5", "45183e8e0f7db6fd", "12e02a8671f1855b", "bd49d5284a49412b")),
-    (2, 3, SceneConfig(size=16),
+    (2, 3, 16, True,
      ("9fee4ae3b19b1537", "d472c2596ffea2c6", "756e5359c4a55901", "5caf121a3e0b1191")),
-    (0, 7, SceneConfig(size=32),
+    (0, 7, 32, True,
      ("b23db3d78152e9cd", "29ecd27f43765517", "67435038c0c16a1d", "64a8cc89b744bfe4")),
-    (1, 4, SceneConfig(size=64),
+    (1, 4, 64, True,
      ("301630bbfb0a64ef", "4c37c8d402009f7b", "471f9af1bd40f06d", "30c8c6ebf51d754e")),
-    (0, 2, SceneConfig(size=64),
+    (0, 2, 64, True,
      ("e18906c694602440", "3277aa6b306ef139", "7cfbf911947059b2", "89c7c9b1f7212e96")),
-    (1, 0, SceneConfig(size=64, noise_std=0.0),
+    (1, 0, 64, False,
      ("ab36bb09a8a60f32", "c69381073abff839", "754a173bcabae79e", "daafdbfa56a0618c")),
-    (2, 5, SceneConfig(size=128),
+    (2, 5, 128, True,
      ("50e0d112cdfe641a", "3bdf2c3eea2f6465", "bf48c1806cf25384", "38824ba69dcaf894")),
 ]
 
@@ -320,9 +330,11 @@ _GOLDEN = [
 def test_generated_bytes_golden():
     fields = ("image", "labels", "depth", "normal")
     dtypes = (np.float32, np.uint8, np.float32, np.float32)
-    for seed, index, cfg, want in _GOLDEN:
-        s = generate_sample(seed, index, cfg)
-        n = cfg.size
+    for seed, index, n, noise, want in _GOLDEN:
+        if noise:
+            s = generate_sample(seed, index, SceneConfig(size=n))
+        else:
+            s = _noise_free_sample(seed, index, n)
         for name, dtype, digest in zip(fields, dtypes, want):
             arr = getattr(s, name)
             assert arr.dtype == dtype
@@ -361,10 +373,9 @@ def test_all_classes_appear_across_a_split():
 
 
 def test_shading_brightens_toward_light():
-    # noise-free config: a lit wall pixel is albedo*(ambient+diffuse*cos), so
+    # noise-free image: a lit wall pixel is albedo*(ambient+diffuse*cos), so
     # image values stay within [ambient*albedo, albedo]
-    cfg = SceneConfig(noise_std=0.0)
-    s = generate_sample(seed=2, index=0, cfg=cfg)
+    s = _noise_free_sample(seed=2, index=0, size=64)
     wall = s.labels == 0
     vals = s.image[wall].astype(np.float64)
     assert (vals <= ALBEDO[0] + 1e-6).all()
@@ -373,11 +384,10 @@ def test_shading_brightens_toward_light():
 
 def test_config_validation_rejects_nonsense():
     with pytest.raises(ContractError):
-        SceneConfig(d_min=5.0, d_max=1.0).validate()
-    with pytest.raises(ContractError):
         SceneConfig(size=8).validate()
     with pytest.raises(ContractError):
-        SceneConfig(light=(1.0, 1.0, 1.0)).validate()
+        SceneConfig(size=65536).validate()     # the dataset header stores H, W as u16
+    SceneConfig(size=65535).validate()
 
 
 def test_class_names_cover_the_label_set():

@@ -12,8 +12,8 @@ from pmx.formats import fnv1a64, read_checkpoint, write_checkpoint
 from pmx.metrics import miou
 from pmx.model import Model, ModelConfig, load_checkpoint, save_model
 from pmx.tensor import Tensor, parameter
-from pmx.train import (AdamW, TrainConfig, _Order, compare_baseline,
-                       ablate_k, epoch_permutation, evaluate, train,
+from pmx.train import (ENC_LR_MULT, WEIGHT_DECAY, AdamW, TrainConfig, _Order,
+                       compare_baseline, ablate_k, epoch_permutation, evaluate, train,
                        write_trace)
 
 
@@ -22,31 +22,33 @@ from pmx.train import (AdamW, TrainConfig, _Order, compare_baseline,
 
 def test_adamw_zero_grad_step_is_pure_decay():
     p = parameter(np.array([1.0], dtype=np.float32))
-    opt = AdamW({"dec/x": p}, lr=0.1, weight_decay=0.05)
+    opt = AdamW({"dec/x": p}, lr=0.1)
     opt.step()
-    assert abs(float(p.data[0]) - 0.995) < 1e-7
+    assert abs(float(p.data[0]) - (1.0 - 0.1 * WEIGHT_DECAY)) < 1e-7
 
 
 def test_adamw_first_step_moves_by_lr_signed():
     p = parameter(np.array([1.0, 1.0], dtype=np.float32))
-    opt = AdamW({"dec/x": p}, lr=0.01, weight_decay=0.0)
+    opt = AdamW({"dec/x": p}, lr=0.01)
     p.grad = np.array([3.0, -0.5], dtype=np.float32)
     opt.step()
-    # bias-corrected first step is lr * g / (|g| + eps), i.e. nearly lr * sign(g)
-    assert abs(float(p.data[0]) - (1.0 - 0.01)) < 1e-6
-    assert abs(float(p.data[1]) - (1.0 + 0.01)) < 1e-6
+    # after the decay, the bias-corrected first step is lr * g / (|g| + eps),
+    # i.e. nearly lr * sign(g)
+    decayed = 1.0 - 0.01 * WEIGHT_DECAY
+    assert abs(float(p.data[0]) - (decayed - 0.01)) < 1e-6
+    assert abs(float(p.data[1]) - (decayed + 0.01)) < 1e-6
 
 
 def test_adamw_backbone_prefix_gets_reduced_lr():
     pe = parameter(np.array([1.0], dtype=np.float32))
     pd = parameter(np.array([1.0], dtype=np.float32))
-    opt = AdamW({"enc/a": pe, "dec/b": pd}, lr=0.01, weight_decay=0.0,
-                backbone_lr_mult=0.1)
+    opt = AdamW({"enc/a": pe, "dec/b": pd}, lr=0.01)
     pe.grad = np.array([1.0], dtype=np.float32)
     pd.grad = np.array([1.0], dtype=np.float32)
     opt.step()
-    moved_e = 1.0 - float(pe.data[0])
-    moved_d = 1.0 - float(pd.data[0])
+    # each group decays by its own lr, then steps by it
+    moved_e = (1.0 - 0.01 * ENC_LR_MULT * WEIGHT_DECAY) - float(pe.data[0])
+    moved_d = (1.0 - 0.01 * WEIGHT_DECAY) - float(pd.data[0])
     assert abs(moved_d - 0.01) < 1e-6
     assert abs(moved_e / moved_d - 0.1) < 1e-3
 
@@ -190,9 +192,9 @@ def test_train_empty_dataset_raises():
 
 def test_evaluate_oracle_is_perfect(tiny_split):
     samples, _ = tiny_split
-    seg = evaluate(None, samples, "seg", oracle=True)
-    depth = evaluate(None, samples, "depth", oracle=True)
-    normal = evaluate(None, samples, "normal", oracle=True)
+    seg = evaluate(None, samples, "seg")
+    depth = evaluate(None, samples, "depth")
+    normal = evaluate(None, samples, "normal")
     assert seg.metrics["miou"] == 1.0
     assert depth.metrics["delta1"] == 1.0 and depth.metrics["rms"] == 0.0
     assert normal.metrics["mean_deg"] < 1e-5
@@ -211,7 +213,7 @@ def test_evaluate_seg_scores_through_metrics_miou(tiny_split):
 
 def test_evaluate_empty_split_raises():
     with pytest.raises(ContractError):
-        evaluate(None, [], "seg", oracle=True)
+        evaluate(None, [], "seg")
 
 
 def test_evaluate_task_mismatch_raises(tiny_split):
