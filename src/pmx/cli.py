@@ -106,7 +106,17 @@ def _train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-clip", action="store_true", help="disable gradient clipping")
 
 
+def _check_outputs(args, *flags: str) -> None:
+    """Refuse an output file whose directory is missing before any work."""
+    for flag in flags:
+        path = getattr(args, flag)
+        parent = os.path.dirname(path or "") or "."
+        if path is not None and not os.path.isdir(parent):
+            raise FileNotFoundError(f"--{flag} {path}: no such directory {parent!r}")
+
+
 def cmd_generate(args) -> int:
+    _check_outputs(args, "out")
     if args.count < 1:
         raise UsageError("--count must be >= 1")
     cfg = SceneConfig(size=args.size)
@@ -153,6 +163,7 @@ def _train_config(args, header, **override) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
+    _check_outputs(args, "out", "trace")
     header, samples = read_dataset(args.data)
     cfg = _train_config(args, header)
     val = read_dataset(args.val)[1] if args.val else None
@@ -168,6 +179,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_outputs(args, "report")
     header, samples = read_dataset(args.data)
     model = None if args.oracle else load_model(args.ckpt)[0]
     report = evaluate(model, samples, args.task, classes=header.classes)

@@ -348,6 +348,80 @@ def test_train_family_bad_flag_is_one_line_usage_error(data, tmp_path, capsys, c
     assert not (tmp_path / "m.pmxc").exists()
 
 
+# ---- output paths and bad inputs ---------------------------------------------------
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the output path was checked")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["generate", "--count", "1", "--size", "16"], "--out"),
+    (["train", "--task", "depth", "--steps", "30"], "--out"),
+    (["train", "--task", "depth", "--steps", "30"], "--trace"),
+    (["eval", "--task", "depth", "--oracle"], "--report"),
+], ids=["generate-out", "train-out", "train-trace", "eval-report"])
+def test_output_in_a_missing_directory_is_refused_before_any_work(data, tmp_path, capsys,
+                                                                  monkeypatch, argv, flag):
+    for name in ("generate_split", "read_dataset", "train", "evaluate"):
+        monkeypatch.setattr(f"pmx.cli.{name}", _no_work)
+    path = str(tmp_path / "nodir" / "x.out")
+    if argv[0] != "generate":
+        argv = argv + ["--data", data]
+    assert main(argv + [flag, path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} {path}: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--task", "depth", "--steps", "1", "--out"],
+    ["eval", "--task", "depth", "--oracle", "--report"],
+], ids=["train", "eval"])
+def test_count_zero_dataset_is_one_line_runtime_error(tmp_path, capsys, argv):
+    path = tmp_path / "empty.pmxd"
+    path.write_bytes(b"PMXD" + struct.pack("<IIHHHff", 1, 0, 16, 16, 4, 0.5, 10.0))
+    out = tmp_path / "x.out"
+    assert main(argv + [str(out), "--data", str(path)]) == 1
+    assert _single_line_error(capsys)
+    assert not out.exists()
+
+
+_T = ["--task", "depth", "--steps", "1", "--batch", "4"]
+_DATA_USERS = {  # each subcommand that reads --data, with the other flags it needs
+    "train": [*_T, "--out", "{out}"], "ablate-k": _T, "compare-baseline": _T,
+    "eval": ["--task", "depth", "--ckpt", "{ckpt}"],
+    "predict": ["--ckpt", "{ckpt}"], "dump-probmaps": ["--ckpt", "{ckpt}"],
+}
+_SWEEP = {f"{cmd}-data-{bad}": [cmd, *flags, "--data", "{%s}" % bad]
+          for cmd, flags in _DATA_USERS.items() for bad in ("absent", "bad_magic")}
+_SWEEP.update({  # predict and dump-probmaps make a missing --out directory, so they are absent
+    "eval-ckpt-truncated": ["eval", "--task", "depth", "--data", "{data}", "--ckpt", "{cut}"],
+    "predict-ckpt-truncated": ["predict", "--data", "{data}", "--ckpt", "{cut}"],
+    "dump-probmaps-ckpt-truncated": ["dump-probmaps", "--data", "{data}", "--ckpt", "{cut}"],
+    "train-resume-truncated": ["train", *_T, "--data", "{data}", "--resume", "{cut}",
+                               "--out", "{out}"],
+    "generate-out-missing-dir": ["generate", "--count", "1", "--size", "16", "--out", "{nodir}"],
+    "train-out-missing-dir": ["train", *_T, "--data", "{data}", "--out", "{nodir}"],
+    "train-trace-missing-dir": ["train", *_T, "--data", "{data}", "--out", "{out}",
+                                "--trace", "{nodir}"],
+    "eval-report-missing-dir": ["eval", "--task", "depth", "--data", "{data}", "--ckpt", "{ckpt}",
+                                "--report", "{nodir}"],
+})
+
+
+@pytest.mark.parametrize("case", list(_SWEEP))
+def test_every_subcommand_bad_file_is_one_line_error(data, depth_ckpt, tmp_path, capsys, case):
+    paths = {"data": data, "ckpt": depth_ckpt, "absent": tmp_path / "absent.pmxd",
+             "bad_magic": tmp_path / "bad.pmxd", "cut": tmp_path / "cut.pmxc",
+             "out": tmp_path / "x.out", "nodir": tmp_path / "nodir" / "x.out"}
+    paths["bad_magic"].write_bytes(b"WHAT" + open(data, "rb").read()[4:])
+    paths["cut"].write_bytes(open(depth_ckpt, "rb").read()[:100])
+    assert main([word.format(**paths) for word in _SWEEP[case]]) in (1, 2)
+    assert _single_line_error(capsys)
+    assert not paths["out"].exists()
+
+
 # ---- predict / probability maps ------------------------------------------------------
 
 

@@ -2,6 +2,8 @@
 
 import os
 import struct
+import threading
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -19,7 +21,7 @@ from pmx.formats import (
     write_dataset,
 )
 from pmx.netpbm import quantize, read_pgm, read_ppm, write_pgm, write_ppm
-from pmx.scene import Sample
+from pmx.scene import Sample, SceneConfig, generate_split
 
 
 def _write(tmp_path, samples, name="d.pmxd", manifest=None):
@@ -146,6 +148,125 @@ def test_dataset_header_field_out_of_range_is_a_contract_error(tmp_path):
     assert read_dataset(str(path))[0].classes == 65535
 
 
+def test_dataset_count_zero_reads_as_an_empty_split(tmp_path):
+    path = tmp_path / "empty.pmxd"
+    path.write_bytes(DATASET_MAGIC + struct.pack("<IIHHHff", 1, 0, 16, 16, 4, 0.5, 10.0))
+    hdr, got = read_dataset(str(path))
+    assert (hdr.count, hdr.h, hdr.w, hdr.classes) == (0, 16, 16, 4) and got == []
+
+
+@pytest.mark.parametrize("count,h,w", [(2**32 - 1, 8000, 8000), (1, 65535, 65535)],
+                         ids=["count", "pixels"])
+def test_dataset_forged_size_is_a_format_error(tmp_path, count, h, w):
+    # neither header's records fit in memory, and 65535 x 65535 is past numpy's dtype limit
+    path = tmp_path / "forged.pmxd"
+    path.write_bytes(DATASET_MAGIC + struct.pack("<IIHHHff", 1, count, h, w, 4, 0.5, 10.0)
+                     + bytes(64))
+    with pytest.raises(FormatError):
+        read_dataset(str(path))
+
+
+def test_dataset_trailing_bytes_report_offset(tmp_path, small_split):
+    path = _write(tmp_path, small_split[:2])
+    size = os.path.getsize(path)
+    with open(path, "ab") as fh:
+        fh.write(b"\0\0\0")
+    with pytest.raises(FormatError, match=f"expected {size} bytes, file ends at offset {size + 3}"):
+        read_dataset(path)
+
+
+def _random_samples(count, h, w, seed=0):
+    gen = np.random.default_rng(seed)
+    return [Sample(image=gen.random((h, w, 3), dtype=np.float32),
+                   labels=gen.integers(0, 4, (h, w), dtype=np.uint8),
+                   depth=gen.uniform(0.5, 10.0, (h, w)).astype(np.float32),
+                   normal=gen.normal(size=(h, w, 3)).astype(np.float32))
+            for _ in range(count)]
+
+
+def test_dataset_with_unaligned_fields_roundtrips_bit_exact(tmp_path):
+    # h*w = 35 is odd, so every field after the first image starts off a 4-byte boundary
+    samples = _random_samples(3, 5, 7)
+    hdr, got = read_dataset(_write(tmp_path, samples))
+    assert (hdr.count, hdr.h, hdr.w) == (3, 5, 7)
+    for a, b in zip(samples, got):
+        for name in ("image", "labels", "depth", "normal"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert y.dtype == x.dtype and y.shape == x.shape and y.tobytes() == x.tobytes()
+
+
+def test_dataset_samples_read_back_are_writable_and_disjoint(tmp_path):
+    _, got = read_dataset(_write(tmp_path, _random_samples(3, 8, 8)))
+    arrays = [getattr(s, name) for s in got for name in ("image", "labels", "depth", "normal")]
+    assert all(a.flags.writeable for a in arrays)
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+    got[0].depth[:] = -1.0
+    assert (got[1].depth > 0).all()
+
+
+@pytest.mark.parametrize("extra", [0, -1, 1], ids=["whole", "truncated", "trailing"])
+def test_dataset_reads_through_a_pipe(tmp_path, extra):
+    # a pipe has no length to check up front: the reader checks where its bytes end
+    samples = _random_samples(2, 8, 8)
+    blob = open(_write(tmp_path, samples), "rb").read()
+    fifo = tmp_path / "pipe.pmxd"
+    os.mkfifo(fifo)
+    sent = blob[:len(blob) + extra] if extra < 0 else blob + b"\0" * extra
+    feeder = threading.Thread(target=fifo.write_bytes, args=(sent,), daemon=True)
+    feeder.start()
+    try:
+        if extra:
+            with pytest.raises(FormatError, match=f"file ends at offset {len(sent)}$"):
+                read_dataset(str(fifo))
+        else:
+            _, got = read_dataset(str(fifo))
+            assert all(np.array_equal(a.normal, b.normal) for a, b in zip(samples, got))
+    finally:
+        feeder.join(timeout=10)
+    assert not feeder.is_alive()
+
+
+# ---- allocations: a read or a write holds about one copy of the file ------------------
+
+
+@pytest.fixture(scope="module")
+def split_32():
+    return generate_split(seed=2, count=64, cfg=SceneConfig(size=32))
+
+
+def _peak_bytes(fn):
+    """Peak bytes traced while ``fn`` runs, above what was allocated before."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_dataset_allocates_no_copy_of_the_file(tmp_path, split_32):
+    path = str(tmp_path / "d.pmxd")
+    peak = _peak_bytes(lambda: write_dataset(path, split_32, 4, 0.5, 10.0))
+    assert peak < 0.25 * os.path.getsize(path)
+
+
+def test_read_dataset_allocates_about_one_copy_of_the_file(tmp_path, split_32):
+    path = _write(tmp_path, split_32)
+    peak = _peak_bytes(lambda: read_dataset(path))
+    assert peak < 1.25 * os.path.getsize(path)
+
+
+def test_write_checkpoint_allocates_no_copy_of_the_file(tmp_path):
+    gen = np.random.default_rng(3)
+    tensors = {f"t{i}": gen.normal(size=(64, 32, 4 + i)).astype(np.float32) for i in range(8)}
+    path = str(tmp_path / "m.pmxc")
+    peak = _peak_bytes(lambda: write_checkpoint(path, tensors))
+    assert peak < 0.25 * os.path.getsize(path)
+
+
 def test_manifest_sidecar_roundtrip(tmp_path, small_split):
     manifest = {"seed": 7, "count": 16, "why": "test"}
     path = _write(tmp_path, small_split, manifest=manifest)
@@ -171,6 +292,14 @@ def test_failed_write_onto_directory_leaves_no_temp_file(tmp_path, small_split, 
             write_checkpoint(str(target), _tensors())
     assert sorted(os.listdir(tmp_path)) == before
     assert os.listdir(target) == []
+
+
+def test_failed_write_names_the_path_not_the_temp_file(tmp_path):
+    path = str(tmp_path / "nodir" / "m.pmxc")
+    with pytest.raises(FileNotFoundError) as exc:
+        write_checkpoint(path, _tensors())
+    assert exc.value.filename == path and ".tmp." not in str(exc.value)
+    assert os.listdir(tmp_path) == []
 
 
 # ---- checkpoint files -----------------------------------------------------------
