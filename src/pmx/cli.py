@@ -23,14 +23,14 @@ import numpy as np
 from . import netpbm
 from .backbone import STRIDE
 from .errors import ContractError, FormatError, TrainingDiverged
-from .formats import read_dataset, write_dataset
+from .formats import DatasetHeader, read_dataset, write_dataset
 from .losses import LossConfig
 from .metrics import METRIC_KEYS
 from .model import HEAD_KINDS, TASKS, VARIANTS, load_model
 from .scene import (CLASS_NAMES, D_MAX, D_MIN, LIGHT, N_CLASSES, NOISE_STD, NUM_PRIMS_MAX,
                     NUM_PRIMS_MIN, SceneConfig, generate_split)
 from .tensor import Tensor
-from .train import (LR_PRESETS, TrainConfig, ablate_k, compare_baseline,
+from .train import (LR_PRESETS, TrainConfig, _batch, ablate_k, compare_baseline,
                     evaluate, model_config, train)
 
 
@@ -117,11 +117,10 @@ def _check_outputs(args, *flags: str) -> None:
 
 def cmd_generate(args) -> int:
     _check_outputs(args, "out")
-    if args.count < 1:
-        raise UsageError("--count must be >= 1")
     cfg = SceneConfig(size=args.size)
     try:
         cfg.validate()
+        DatasetHeader(args.count, cfg.size, cfg.size, N_CLASSES, D_MIN, D_MAX).validate()
     except ContractError as exc:
         raise UsageError(str(exc)) from exc
     # the coarsest scale of the depth gradient loss pools by 2^(scales - 1)
@@ -196,13 +195,12 @@ def _load_indexed(args):
     if not 0 <= args.index < header.count:
         raise UsageError(f"--index {args.index} outside dataset of {header.count}")
     model, _ = load_model(args.ckpt)
-    sample = samples[args.index]
-    images = Tensor(sample.image.transpose(2, 0, 1)[None])
-    return header, model, sample, images
+    images, _ = _batch(samples, [args.index], model.cfg.task)
+    return header, model, Tensor(images)
 
 
 def cmd_predict(args) -> int:
-    header, model, sample, images = _load_indexed(args)
+    header, model, images = _load_indexed(args)
     task = model.cfg.task
     pred = model.predict(images)[0]
     os.makedirs(args.out, exist_ok=True)
@@ -222,7 +220,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_probmaps(args) -> int:
-    _, model, sample, images = _load_indexed(args)
+    _, model, images = _load_indexed(args)
     panels = model.probability_panels(images)[0]          # (K, H, W)
     sums = panels.sum(axis=0)
     if not np.allclose(sums, 1.0, atol=1e-6):

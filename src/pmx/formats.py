@@ -78,16 +78,6 @@ def _atomic_write(path: str, parts: Iterable) -> None:
 # ---- dataset ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DatasetHeader:
-    count: int
-    h: int
-    w: int
-    classes: int
-    d_min: float
-    d_max: float
-
-
 def _sample_dtype(h: int, w: int) -> np.dtype:
     """One packed sample record; its fields are in file order."""
     return np.dtype([("image", "<f4", (h, w, 3)), ("labels", "u1", (h, w)),
@@ -97,6 +87,27 @@ def _sample_dtype(h: int, w: int) -> np.dtype:
 _MAX_PIXELS = (2**31 - 1) // _sample_dtype(1, 1).itemsize  # numpy's itemsize is a C int
 
 
+@dataclass(frozen=True)
+class DatasetHeader:
+    count: int
+    h: int
+    w: int
+    classes: int
+    d_min: float
+    d_max: float
+
+    def validate(self) -> None:
+        """A field the format cannot hold (or a reader refuses) raises ContractError."""
+        for name, value, top in (("sample count", self.count, _U32), ("height", self.h, _U16),
+                                 ("width", self.w, _U16), ("classes", self.classes, _U16),
+                                 ("pixel count", self.h * self.w, _MAX_PIXELS)):
+            if not 1 <= value <= top:
+                raise ContractError(f"dataset {name} {value} outside the header's range 1..{top}")
+        if not 0 < self.d_min < self.d_max <= _F32_MAX:
+            raise ContractError(f"dataset depth range [{self.d_min}, {self.d_max}] "
+                                f"not within (0, {_F32_MAX:g}]")
+
+
 def write_dataset(path: str, samples: Sequence[Sample], classes: int, d_min: float,
                   d_max: float, manifest: dict = None) -> None:
     """A header field the format cannot hold (or a reader refuses) raises
@@ -104,13 +115,7 @@ def write_dataset(path: str, samples: Sequence[Sample], classes: int, d_min: flo
     if len(samples) == 0:
         raise ContractError("dataset must contain at least one sample")
     h, w = samples[0].labels.shape
-    for name, value, top in (("sample count", len(samples), _U32), ("height", h, _U16),
-                             ("width", w, _U16), ("classes", classes, _U16),
-                             ("pixel count", h * w, _MAX_PIXELS)):
-        if not 1 <= value <= top:
-            raise ContractError(f"dataset {name} {value} outside the header's range 1..{top}")
-    if not 0 < d_min < d_max <= _F32_MAX:
-        raise ContractError(f"dataset depth range [{d_min}, {d_max}] not within (0, {_F32_MAX:g}]")
+    DatasetHeader(len(samples), h, w, classes, d_min, d_max).validate()
     rec = _sample_dtype(h, w)
     for i, s in enumerate(samples):
         if any(getattr(s, name).shape != rec[name].shape for name in rec.names):

@@ -1,4 +1,4 @@
-"""Binary NetPBM image output (PGM P5, PPM P6) and minimal readers.
+"""Binary NetPBM image output (PGM P5, PPM P6, written atomically) and minimal readers.
 
 All quantization goes through one rule, round half up: u8 = floor(255 v + 0.5)
 for v in [0, 1].  Normals are mapped (n + 1)/2 before quantization, so a
@@ -12,6 +12,7 @@ import re
 import numpy as np
 
 from .errors import FormatError
+from .formats import _atomic_write
 
 
 def quantize(v: np.ndarray) -> np.ndarray:
@@ -19,22 +20,21 @@ def quantize(v: np.ndarray) -> np.ndarray:
     return np.clip(np.floor(v * 255.0 + 0.5), 0, 255).astype(np.uint8)
 
 
+def _write(path: str, magic: str, raster: np.ndarray) -> None:
+    h, w = raster.shape[:2]
+    _atomic_write(path, [f"{magic}\n{w} {h}\n255\n".encode(), np.ascontiguousarray(raster)])
+
+
 def write_pgm(path: str, gray: np.ndarray) -> None:
     if gray.ndim != 2 or gray.dtype != np.uint8:
         raise FormatError(f"PGM needs a 2D uint8 array, got {gray.shape} {gray.dtype}")
-    h, w = gray.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode())
-        fh.write(gray.tobytes())
+    _write(path, "P5", gray)
 
 
 def write_ppm(path: str, rgb: np.ndarray) -> None:
     if rgb.ndim != 3 or rgb.shape[2] != 3 or rgb.dtype != np.uint8:
         raise FormatError(f"PPM needs (H,W,3) uint8, got {rgb.shape} {rgb.dtype}")
-    h, w = rgb.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode())
-        fh.write(rgb.tobytes())
+    _write(path, "P6", rgb)
 
 
 # magic, then width, height and maxval as decimal fields separated by

@@ -17,6 +17,7 @@ BETA1/BETA2 and ADAM_EPS.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -145,52 +146,42 @@ class AdamW:
 # ---- deterministic sample order -------------------------------------------------
 
 
+@functools.lru_cache(maxsize=2)
 def epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
-    gen = SplitMix64(mix_seed_index(seed, 0xE90C + epoch))
-    return gen.permutation(n)
+    """The read-only order of range(n) in one epoch; the two latest are memoized."""
+    perm = SplitMix64(mix_seed_index(seed, 0xE90C + epoch)).permutation(n)
+    perm.flags.writeable = False
+    return perm
 
 
-class _Order:
-    """Pure (seed, step) -> batch indices, with a one-epoch memo."""
-
-    def __init__(self, seed: int, n: int, batch: int):
-        self.seed, self.n, self.batch = seed, n, batch
-        self._cache: Dict[int, np.ndarray] = {}
-
-    def batch_indices(self, step: int) -> np.ndarray:
-        out: List[int] = []
-        pos = step * self.batch
-        while len(out) < self.batch:
-            epoch, off = divmod(pos, self.n)
-            perm = self._cache.get(epoch)
-            if perm is None:
-                self._cache = {epoch: epoch_permutation(self.seed, epoch, self.n)}
-                perm = self._cache[epoch]
-            take = min(self.batch - len(out), self.n - off)
-            out.extend(perm[off:off + take].tolist())
-            pos += take
-        return np.asarray(out, dtype=np.int64)
+def batch_indices(seed: int, n: int, batch: int, step: int) -> np.ndarray:
+    """The ``batch`` entries from step * batch onward of the per-epoch
+    permutations of range(n) laid end to end."""
+    start, stop = step * batch, (step + 1) * batch
+    return np.concatenate([epoch_permutation(seed, e, n)[max(start - e * n, 0):stop - e * n]
+                           for e in range(start // n, (stop - 1) // n + 1)])
 
 
 # ---- batch assembly ---------------------------------------------------------------
 
+GT_FIELD = {"seg": "labels", "depth": "depth", "normal": "normal"}
 
-def _batch_arrays(samples: Sequence[Sample], idx: np.ndarray):
+
+def _batch(samples: Sequence[Sample], idx: Sequence[int],
+           task: str) -> Tuple[np.ndarray, np.ndarray]:
+    """The NCHW images of samples[idx] and their ground truth for task."""
     images = np.stack([samples[i].image.transpose(2, 0, 1) for i in idx])
-    labels = np.stack([samples[i].labels for i in idx])
-    depth = np.stack([samples[i].depth for i in idx])
-    normal = np.stack([samples[i].normal for i in idx])
-    return images, labels, depth, normal
+    gt = np.stack([getattr(samples[i], GT_FIELD[task]) for i in idx])
+    return images, gt
 
 
-def _targets(task: str, labels, depth, normal) -> Dict[str, np.ndarray]:
-    b, h, w = labels.shape
+def _targets(task: str, gt: np.ndarray) -> Dict[str, np.ndarray]:
+    """The loss targets for a batch's ground truth."""
     if task == "seg":
-        return {"labels": labels.reshape(-1)}
-    mask = np.ones((b, h * w), dtype=np.float32)
-    if task == "depth":
-        return {"depth": depth.reshape(b, h * w), "mask": mask}
-    return {"normal": normal.reshape(b, h * w, 3), "mask": mask}
+        return {"labels": gt.reshape(-1)}
+    b, h, w = gt.shape[:3]
+    return {task: gt.reshape(b, h * w, *gt.shape[3:]),
+            "mask": np.ones((b, h * w), dtype=np.float32)}
 
 
 # ---- evaluation ----------------------------------------------------------------------
@@ -211,8 +202,7 @@ def evaluate(model: Optional[Model], samples: Sequence[Sample], task: str,
     gts: List[np.ndarray] = []
     for start in range(0, len(samples), batch):
         idx = np.arange(start, min(start + batch, len(samples)))
-        images, labels, depth, normal = _batch_arrays(samples, idx)
-        gt = {"seg": labels, "depth": depth, "normal": normal}[task]
+        images, gt = _batch(samples, idx, task)
         preds.append(gt if model is None else model.predict(Tensor(images)))
         gts.append(gt)
     pred, gt = np.concatenate(preds), np.concatenate(gts)
@@ -318,7 +308,6 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, classes: int = 4,
     opt = AdamW(model.params(), cfg.lr)
     if opt_state is not None:
         opt.load(opt_state)     # a checkpoint without opt/ entries fails here
-    order = _Order(cfg.seed, len(samples), cfg.batch)
     h, w = samples[0].labels.shape
     trace: List[Tuple[int, float, Dict[str, float]]] = []
     reports: List[Tuple[int, MetricReport]] = []
@@ -337,13 +326,13 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, classes: int = 4,
                 save_model(out_path + ".best", model, opt.state(), _run_settings(cfg))
 
     for step in range(opt.t, cfg.steps):
-        idx = order.batch_indices(step)
-        images, labels, depth, normal = _batch_arrays(samples, idx)
+        idx = batch_indices(cfg.seed, len(samples), cfg.batch, step)
+        images, gt = _batch(samples, idx, cfg.task)
         prediction = model.train_outputs(Tensor(images))[PRED_KEY[cfg.task]]
         if cfg.task == "seg":
             b, n, c = prediction.shape
             prediction = prediction.reshape(b * n, c)
-        loss, terms = total_loss(cfg.task, prediction, _targets(cfg.task, labels, depth, normal),
+        loss, terms = total_loss(cfg.task, prediction, _targets(cfg.task, gt),
                                  LossConfig(), (h, w))
         value = float(loss.data)
         if not math.isfinite(value):

@@ -86,6 +86,22 @@ def test_generate_size_the_header_cannot_hold_is_usage_error(tmp_path, capsys, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("size,count,named", [
+    ("8608", "1", "pixel count 74097664"),        # passes the side bound, not the record limit
+    ("16", "4294967296", "sample count 4294967296"),
+], ids=["pixels", "count"])
+def test_generate_header_the_writer_cannot_hold_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                               size, count, named):
+    def no_work(*args, **kwargs):
+        raise AssertionError("generate_split ran")
+    monkeypatch.setattr("pmx.cli.generate_split", no_work)
+    out = tmp_path / "x.pmxd"
+    assert main(["generate", "--size", size, "--count", count, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("size", ["20", "18"])
 def test_generate_rejects_size_depth_training_cannot_use(tmp_path, capsys, size):
     out = tmp_path / "x.pmxd"

@@ -21,6 +21,7 @@ from pmx.formats import (
     write_dataset,
 )
 from pmx.netpbm import quantize, read_pgm, read_ppm, write_pgm, write_ppm
+from pmx.rng import SplitMix64, mix_seed_index
 from pmx.scene import Sample, SceneConfig, generate_split
 
 
@@ -514,3 +515,115 @@ def test_flat_normal_encodes_to_half_gray():
     assert enc[0, 0, 0] in (127, 128)
     assert enc[0, 0, 1] in (127, 128)
     assert enc[0, 0, 2] == 0
+
+
+@pytest.mark.parametrize("write,raster", [
+    (write_pgm, np.zeros((4, 5), np.uint8)),
+    (write_ppm, np.zeros((4, 5, 3), np.uint8)),
+], ids=["pgm", "ppm"])
+def test_failed_image_write_keeps_the_old_file(tmp_path, monkeypatch, write, raster):
+    path = str(tmp_path / "panel.pnm")
+    open(path, "wb").write(b"old")
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", src)
+    monkeypatch.setattr("pmx.formats.os.replace", refuse)
+    with pytest.raises(PermissionError) as exc:
+        write(path, raster)
+    assert exc.value.filename == path
+    assert open(path, "rb").read() == b"old"
+    assert os.listdir(tmp_path) == ["panel.pnm"]
+
+
+# ---- byte-level fuzz: every reader loads or refuses with FormatError/ContractError ---------
+
+
+def _checkpoint_fields(tensors):
+    """(offset, size) of every header and entry field of write_checkpoint(tensors)."""
+    fields, off = [(4, 4), (8, 4)], 12
+    for name in sorted(tensors):
+        rank = np.ndim(tensors[name])
+        fields += [(off, 2), (off + 2 + len(name), 1)]
+        off += 3 + len(name)
+        fields += [(off + 4 * d, 4) for d in range(rank)]
+        off += 4 * rank + 4 * np.size(tensors[name])
+    return fields
+
+
+def _fuzz_checkpoint(tmp_path):
+    path = str(tmp_path / "f.pmxc")
+    tensors = _tensors()
+    write_checkpoint(path, tensors)
+    return path, open(path, "rb").read(), _checkpoint_fields(tensors)
+
+
+def _fuzz_dataset(tmp_path):
+    gen = np.random.default_rng(1)
+    samples = [Sample(gen.random((3, 2, 3), dtype=np.float32),
+                      gen.integers(0, 4, (3, 2), dtype=np.uint8),
+                      gen.uniform(0.5, 10.0, (3, 2)).astype(np.float32),
+                      gen.normal(size=(3, 2, 3)).astype(np.float32)) for _ in range(2)]
+    path = _write(tmp_path, samples, name="f.pmxd")
+    fields = [(4, 4), (8, 4), (12, 2), (14, 2), (16, 2), (18, 4), (22, 4)]
+    return path, open(path, "rb").read(), fields
+
+
+def _fuzz_netpbm(magic, channels):
+    def make(tmp_path):
+        path = str(tmp_path / "f.pnm")
+        blob = magic + b"\n# c\n3 2\n255\n" + bytes(range(6 * channels))
+        open(path, "wb").write(blob)
+        return path, blob, [(7, 1), (9, 1), (11, 3)]   # width, height, maxval
+    return make
+
+
+def _forged_value(gen, size):
+    top = 256 ** size - 1
+    return (0, 1, 2, top, top - 1, gen.next_u64() & top, gen.next_below(64))[gen.next_below(7)]
+
+
+def _fuzz_case(gen, blob, fields, crc, text):
+    """A truncation, a bit flip or a forged field.  A checkpoint case gets a
+    valid CRC again, so that it reaches the entry parser."""
+    kind = gen.next_below(3)
+    out = bytearray(blob[:gen.next_below(len(blob))] if kind == 0 else blob)
+    if kind == 1:
+        out[gen.next_below(len(out))] ^= 1 << gen.next_below(8)
+    elif kind == 2:
+        off, size = fields[gen.next_below(len(fields))]
+        value = _forged_value(gen, size)
+        if not text:
+            out[off:off + size] = value.to_bytes(size, "little")
+        elif gen.next_below(4):   # netpbm fields are decimal: forge digits, or junk
+            out[off:off + size] = (str(value).encode() + b" " * size)[:size]
+        else:
+            out[off:off + size] = bytes(b"0123456789 -#\n\x00"[gen.next_below(15)]
+                                        for _ in range(size))
+    if crc and len(out) > 8:
+        out[-8:] = struct.pack("<Q", zlib.crc32(bytes(out[:-8])))
+    return bytes(out)
+
+
+@pytest.mark.parametrize("make,read,crc,text", [
+    (_fuzz_checkpoint, read_checkpoint, True, False),
+    (_fuzz_dataset, read_dataset, False, False),
+    (_fuzz_netpbm(b"P5", 1), read_pgm, False, True),
+    (_fuzz_netpbm(b"P6", 3), read_ppm, False, True),
+], ids=["checkpoint", "dataset", "pgm", "ppm"])
+def test_reader_byte_fuzz_loads_or_raises_format_or_contract_error(tmp_path, make, read, crc,
+                                                                   text):
+    path, blob, fields = make(tmp_path)
+    gen = SplitMix64(mix_seed_index(15, len(blob)))
+    outcomes = {"loaded": 0, "refused": 0}
+    for case in range(2000):
+        mutated = _fuzz_case(gen, blob, fields, crc, text)
+        with open(path, "wb") as fh:
+            fh.write(mutated)
+        try:
+            read(path)
+            outcomes["loaded"] += 1
+        except (FormatError, ContractError):
+            outcomes["refused"] += 1
+        except Exception as exc:   # any other exception fails, naming the case
+            pytest.fail(f"case {case}: {type(exc).__name__}: {exc}; bytes {mutated.hex()}")
+    assert min(outcomes.values()) > 0, outcomes

@@ -12,8 +12,8 @@ from pmx.formats import fnv1a64, read_checkpoint, write_checkpoint
 from pmx.metrics import miou
 from pmx.model import Model, ModelConfig, load_checkpoint, save_model
 from pmx.tensor import Tensor, parameter
-from pmx.train import (ENC_LR_MULT, WEIGHT_DECAY, AdamW, TrainConfig, _Order,
-                       compare_baseline, ablate_k, epoch_permutation, evaluate, train,
+from pmx.train import (ENC_LR_MULT, WEIGHT_DECAY, AdamW, TrainConfig, ablate_k,
+                       batch_indices, compare_baseline, epoch_permutation, evaluate, train,
                        write_trace)
 
 
@@ -149,20 +149,46 @@ def test_epoch_permutation_is_a_permutation_and_seeded():
     assert a.tolist() != d.tolist()
 
 
+def test_epoch_permutation_is_read_only():
+    perm = epoch_permutation(3, 0, 10)
+    with pytest.raises(ValueError):
+        perm[0] = 1
+    assert epoch_permutation(3, 0, 10).tolist() == perm.tolist()
+
+
 def test_order_covers_every_sample_once_per_epoch():
-    order = _Order(seed=5, n=8, batch=4)
-    seen = np.concatenate([order.batch_indices(s) for s in range(4)])
+    seen = np.concatenate([batch_indices(5, 8, 4, s) for s in range(4)])
     first, second = seen[:8], seen[8:]
     assert sorted(first.tolist()) == list(range(8))
     assert sorted(second.tolist()) == list(range(8))
 
 
 def test_order_wraps_across_epoch_boundary():
-    order = _Order(seed=5, n=4, batch=3)
-    flat = np.concatenate([order.batch_indices(s) for s in range(4)])
+    flat = np.concatenate([batch_indices(5, 4, 3, s) for s in range(4)])
     assert sorted(flat[:4].tolist()) == list(range(4))
     assert sorted(flat[4:8].tolist()) == list(range(4))
     assert sorted(flat[8:].tolist()) == list(range(4))
+
+
+def _oracle_indices(seed, n, batch, step):
+    """Walk the epochs one entry at a time."""
+    out = []
+    for pos in range(step * batch, (step + 1) * batch):
+        epoch, off = divmod(pos, n)
+        out.append(int(epoch_permutation(seed, epoch, n)[off]))
+    return out
+
+
+def test_batch_indices_matches_an_entrywise_walk():
+    # batch > n takes several whole epochs in one step; late steps are many epochs in
+    for seed in (0, 5, 2**64 - 1):
+        for n in range(1, 8):
+            for batch in range(1, 3 * n + 2):
+                for step in (0, 1, 2, 3, 7, 40):
+                    got = batch_indices(seed, n, batch, step)
+                    assert got.dtype == np.int64 and got.shape == (batch,)
+                    assert got.tolist() == _oracle_indices(seed, n, batch, step), \
+                        (seed, n, batch, step)
 
 
 # ---- config ------------------------------------------------------------------------
