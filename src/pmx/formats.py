@@ -3,7 +3,8 @@
 Dataset files (magic ``PMXD``, version 1) hold a fixed header, then one packed
 record per sample: ``image`` (H, W, 3) f32, ``labels`` (H, W) u8, ``depth``
 (H, W) f32 and ``normal`` (H, W, 3) f32.  Checkpoint files (magic ``PMXC``)
-hold named f32 tensors sorted by name and end in an 8-byte checksum of
+hold named f32 tensors, each name once in strictly increasing order (a
+reader refuses any other order), and end in an 8-byte checksum of
 everything before it: in version 2, the one written, the zlib CRC-32 of the
 body with the upper 32 bits zero; in version 1, still read, FNV-1a 64.  Two
 writes of the same content are byte-identical, and any flipped byte is
@@ -212,6 +213,9 @@ def read_checkpoint(path: str) -> Dict[str, np.ndarray]:
             (nlen,) = _NAME_LEN.unpack_from(body, off)
             off += _NAME_LEN.size
             name = str(body[off:off + nlen], "utf-8")
+            if out and name <= last:  # code-point order is UTF-8 byte order
+                raise ValueError(f"name {name!r} does not sort after {last!r}")
+            last = name
             off += nlen
             (rank,) = _RANK.unpack_from(body, off)
             off += _RANK.size

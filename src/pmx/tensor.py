@@ -14,9 +14,12 @@ and inputs) keep ``.grad``, and a graph backpropagates once.
 The op set is deliberately closed: elementwise arithmetic, matmul (2D, batched
 3D, and 3D @ 2D), NCHW 3x3 convolution at stride 1 or 2 with padding 1 (the
 padded input held as flat polyphase planes, so that each im2col and col2im
-tap is one contiguous slice, and one gemm over the batch on an output grid a
-column or two wider than the image), softmax, layer norm over the last axis,
-bilinear 2x upsampling, reductions, and a small set of shape/indexing ops.
+tap is one contiguous slice; taps lowered in groups, where a recorded conv
+with Cin >= Cout copies and holds only the three row taps and reads each
+column tap a column or two on; one gemm per group over the whole batch on
+an output grid a column or two wider than the image), softmax, layer norm
+over the last axis, bilinear 2x upsampling, reductions, and a small set of
+shape/indexing ops.
 There is no general broadcasting; the only sanctioned broadcast is the
 trailing bias add in ``bias_add`` and the explicit ``expand_axis`` /
 ``expand_leading`` repeats, whose backward is a sum.
@@ -364,12 +367,35 @@ class Tensor:
         output pixel is then one contiguous run of ho*wq floats per image:
         plane (i%s)*s + j%s from offset (i//s)*wq + j//s.  The run covers a
         "wide" (ho, wq) output grid whose last wq - wo columns wrap into the
-        next row.  Forward copies the nine runs into cols (Cin*9, B*ho*wq),
-        runs one gemm W (Cout, Cin*9) @ cols over the whole batch, and crops
-        the wide result to (B, Cout, ho, wo).  Backward widens g with zero
-        columns, so the wrapped columns add exactly 0 to dW and dx; dW is one
-        gemm g @ colsᵀ, col2im adds the nine runs of Wᵀg back into the planes,
-        and s² strided copies gather dx from them.
+        next row.
+
+        The taps are lowered in groups.  A group copies the runs of some taps
+        (i, j), images end to end, into a buffer of rows (Cin, taps) and
+        columns B*ho*wq, plus one zeroed float per shift past the first; the
+        buffer read k columns on is then tap (i, j + s*k) of every copied
+        tap.  A conv that records a graph with Cin >= Cout has one group per
+        column phase c < s, copying the three row taps (i, c), so each
+        column tap j of that phase is read at shift j//s: 3 runs copied and
+        held for backward instead of 9 at stride 1, and 6 instead of 9 at
+        stride 2.  Otherwise one group copies all nine taps, read at shift
+        0: with Cin < Cout the extra output passes of the shifts cost more
+        than the copies save; without a graph nothing is held, and the one
+        large buffer keeps glibc's dynamic heap thresholds above what a
+        forward pass frees, so the heap is not handed back and faulted in
+        again between passes (see ``pmx.cli.pin_heap_thresholds``).
+
+        Each product is one gemm per group over the whole batch, with the
+        weights of every shift stacked: forward multiplies (shifts*Cout,
+        Cin*taps) weights by the buffer and sums row block k read k columns
+        on, then crops the wide result to (B, Cout, ho, wo), adding the bias
+        as it crops.  Backward widens g with zero columns and stacks it once
+        per shift, block k moved k columns on; dW is that stack times the
+        bufferᵀ, and the stacked weightsᵀ times it is the buffer's gradient,
+        whose rows are added back into the planes at each copied tap's
+        offset before s² strided copies gather dx.  The wrapped columns of a
+        shifted read land on the next row, the next image or the slack, all
+        initialized input, and meet only the zero columns of g, so they add
+        exactly 0 to dW and dx.
         """
         if stride not in (1, 2):
             raise ShapeError(f"conv2d stride must be 1 or 2, got {stride}")
@@ -385,6 +411,7 @@ class Tensor:
         ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
         hq, wq = ho + 2 // stride, wo + 2 // stride
         n = ho * wq
+        m = bsz * n
         planes = (cin, stride * stride, bsz, hq * wq + 2)
 
         def span(phase, size):
@@ -394,8 +421,21 @@ class Tensor:
             q0 = (k0 + 1) // stride
             return slice(k0, None, stride), slice(q0, q0 + len(range(k0, size, stride)))
         phases = [(p, span(p // stride, h), span(p % stride, wd)) for p in range(stride * stride)]
-        taps = [((i % stride) * stride + j % stride, (i // stride) * wq + j // stride)
-                for i in range(3) for j in range(3)]
+
+        def tap(i, j):
+            return (i % stride) * stride + j % stride, (i // stride) * wq + j // stride
+        parents = (self, weight) if bias is None else (self, weight, bias)
+        row_taps = cin >= cout and _grad_enabled and any(t.requires_grad for t in parents)
+        if row_taps:  # group c copies taps (i, c) and reads taps (i, c + s*k) at shift k
+            copied = [[(i, c) for i in range(3)] for c in range(stride)]
+        else:
+            copied = [[(i, j) for i in range(3) for j in range(3)]]
+
+        def by_group(a):
+            # (Cout, Cin, 3, 3) weights as one (shifts, Cout, Cin, taps) view per group
+            if row_taps:
+                return [a.transpose(3, 0, 1, 2)[c::stride] for c in range(stride)]
+            return [a.reshape(1, cout, cin, 9)]
 
         def grid(buf):
             return buf[..., :hq * wq].reshape(cin, stride * stride, bsz, hq, wq)
@@ -403,37 +443,60 @@ class Tensor:
         xgrid = grid(xq)
         for p, (xr, qr), (xc, qc) in phases:
             xgrid[:, p, :, qr, qc] = x[:, :, xr, xc].transpose(1, 0, 2, 3)
-        cols = np.empty((cin, 9, bsz, n), dtype=x.dtype)
-        for t, (p, off) in enumerate(taps):
-            cols[:, t] = xq[:, p, :, off:off + n]
-        del xq, xgrid  # the backward closure keeps only cols and wmat
-        cols = cols.reshape(cin * 9, bsz * n)
-        wmat = w.reshape(cout, cin * 9)
-        y = (wmat @ cols).reshape(cout, bsz, ho, wq)[..., :wo]
-        y = np.ascontiguousarray(y.transpose(1, 0, 2, 3))
-        if bias is not None:
-            y += bias.data[:, None, None]
+        groups = []  # (taps, shifts, weights (shifts*Cout, Cin*taps), buffer)
+        for taps, wg in zip(copied, by_group(w)):
+            shifts = len(wg)
+            buf = np.empty((cin * len(taps), m + shifts - 1), dtype=x.dtype)
+            buf[:, m:] = 0
+            rows = buf[:, :m].reshape(cin, len(taps), bsz, n)
+            for t, (i, j) in enumerate(taps):
+                p, off = tap(i, j)
+                rows[:, t] = xq[:, p, :, off:off + n]
+            groups.append((taps, shifts, np.ascontiguousarray(wg).reshape(shifts * cout, -1), buf))
+        del xq, xgrid, rows  # the backward closure keeps only the groups
+        yw = None
+        for _, shifts, wg, buf in groups:
+            prod = wg @ buf  # row block k: the output of the taps read at shift k
+            for k in range(shifts):
+                block = prod[k * cout:(k + 1) * cout, k:k + m]
+                yw = block if yw is None else np.add(yw, block, out=yw)
+        y = np.empty((bsz, cout, ho, wo), dtype=yw.dtype)
+        wide = yw.reshape(cout, bsz, ho, wq)[..., :wo].transpose(1, 0, 2, 3)
+        if bias is None:
+            np.copyto(y, wide)
+        else:
+            np.add(wide, bias.data[:, None, None], out=y)
 
         def back(g):
             if bias is not None and bias.requires_grad:
                 bias._accum(g.reshape(bsz, cout, ho * wo).sum(axis=(0, 2)), owned=True)
-            gw = np.zeros((cout, bsz, ho, wq), dtype=g.dtype)
-            gw[..., :wo] = g.transpose(1, 0, 2, 3)
-            g2 = gw.reshape(cout, bsz * n)
+            # row block k: g on the wide grid, k columns on, zero in the wrapped columns
+            most = max(shifts for _, shifts, _, _ in groups)
+            gk = np.zeros((most, cout, m + most - 1), dtype=g.dtype)
+            gk[0, :, :m].reshape(cout, bsz, ho, wq)[..., :wo] = g.transpose(1, 0, 2, 3)
+            for k in range(1, most):
+                gk[k, :, k:k + m] = gk[0, :, :m]
             if weight.requires_grad:
-                weight._accum((g2 @ cols.T).reshape(cout, cin, 3, 3), owned=True)
+                dw = np.empty(w.shape, dtype=np.result_type(g, x))
+                for (taps, shifts, _, buf), dv in zip(groups, by_group(dw)):
+                    g2 = gk[:shifts, :, :m + shifts - 1].reshape(shifts * cout, -1)
+                    dv[...] = (g2 @ buf.T).reshape(shifts, cout, cin, len(taps))
+                weight._accum(dw, owned=True)
             if self.requires_grad:
-                dcols = (wmat.T @ g2).reshape(cin, 9, bsz, n)
-                dxq = np.zeros(planes, dtype=dcols.dtype)
-                for t, (p, off) in enumerate(taps):
-                    dxq[:, p, :, off:off + n] += dcols[:, t]
-                del dcols, gw, g2  # free them before dx is allocated
+                dxq = np.zeros(planes, dtype=np.result_type(g, w))
+                for taps, shifts, wg, _ in groups:
+                    g2 = gk[:shifts, :, :m + shifts - 1].reshape(shifts * cout, -1)
+                    dbuf = (wg.T @ g2)[:, :m].reshape(cin, len(taps), bsz, n)
+                    for t, (i, j) in enumerate(taps):
+                        p, off = tap(i, j)
+                        dxq[:, p, :, off:off + n] += dbuf[:, t]
+                    del dbuf
+                del gk, g2  # free them before dx is allocated
                 dgrid = grid(dxq)
                 dx = np.empty_like(x)
                 for p, (xr, qr), (xc, qc) in phases:
                     dx[:, :, xr, xc] = dgrid[:, p, :, qr, qc].transpose(1, 0, 2, 3)
                 self._accum(dx, owned=True)
-        parents = (self, weight) if bias is None else (self, weight, bias)
         return _result(y, parents, back)
 
     def bilinear_upsample2x(self) -> "Tensor":

@@ -1,15 +1,18 @@
 """End-to-end command-line flows on tiny datasets."""
 
+import ctypes
 import hashlib
 import json
 import os
+import platform
 import struct
 import zlib
 
 import numpy as np
 import pytest
 
-from pmx.cli import main
+from pmx import cli
+from pmx.cli import main, pin_heap_thresholds
 from pmx.formats import (fnv1a64, read_checkpoint, read_dataset, write_checkpoint,
                          write_dataset)
 
@@ -506,3 +509,34 @@ def test_lr_preset_names_accepted(data, tmp_path):
     assert main(["train", "--task", "depth", "--data", data, "--steps", "1",
                  "--batch", "4", "--lr", "finetune",
                  "--out", str(tmp_path / "m.pmxc")]) == 0
+
+
+# ---- heap thresholds -----------------------------------------------------------------
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc")
+def test_heap_thresholds_are_set_under_glibc():
+    assert pin_heap_thresholds() is True
+
+
+class _NoMallopt:
+    def __init__(self, name):
+        pass
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, _NoMallopt], ids=["no_libc", "no_mallopt"])
+def test_heap_thresholds_skip_quietly_without_glibc(monkeypatch, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert pin_heap_thresholds() is False
+
+
+def test_main_pins_heap_thresholds_before_parsing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "pin_heap_thresholds", lambda: calls.append(True))
+    with pytest.raises(SystemExit):
+        main(["no-such-command"])
+    assert calls == [True]

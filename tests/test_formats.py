@@ -374,8 +374,10 @@ _MALFORMED = pytest.mark.parametrize("count,entries", [
     (1, _entry(b"\xff\xfe", (), b"\0" * 4)),
     (1, _entry(b"x", (1000,), b"\0" * 8)),
     (1, _entry(b"x", (2**32 - 1, 2**32 - 1), b"")),
+    (2, _entry(b"a/x", (1,), struct.pack("<f", 1.0)) * 2),
+    (2, _entry(b"b/x", (1,), b"\0" * 4) + _entry(b"a/y", (1,), b"\0" * 4)),
 ], ids=["count_overrun", "truncated_dims", "bad_utf8_name", "payload_overrun",
-        "element_count_overflow"])
+        "element_count_overflow", "duplicate_name", "descending_names"])
 
 
 @_MALFORMED
@@ -384,6 +386,23 @@ def test_checkpoint_malformed_entries_raise_format_error(tmp_path, count, entrie
     _forge(path, count, entries)
     with pytest.raises(FormatError):
         read_checkpoint(path)
+
+
+@pytest.mark.parametrize("first,second", [(b"a/x", b"a/x"), (b"b/x", b"a/y")],
+                         ids=["duplicate", "descending"])
+def test_checkpoint_name_out_of_order_is_refused_by_name(tmp_path, first, second):
+    path = str(tmp_path / "forged.pmxc")
+    _forge(path, 2, _entry(first, (1,), b"\0" * 4) + _entry(second, (1,), b"\0" * 4),
+           2, zlib.crc32)
+    with pytest.raises(FormatError, match=f"entry 1 of 2 .*'{second.decode()}'"):
+        read_checkpoint(path)
+
+
+def test_checkpoint_names_order_by_utf8_bytes(tmp_path):
+    # the writer sorts by code point, which is the order of the UTF-8 bytes
+    path = str(tmp_path / "u.pmxc")
+    write_checkpoint(path, {"\u00e9": np.zeros(1), "z": np.ones(1), "\u20ac": np.zeros(2)})
+    assert list(read_checkpoint(path)) == ["z", "\u00e9", "\u20ac"]
 
 
 def test_checkpoint_forged_valid_entry_reads(tmp_path):
@@ -539,22 +558,24 @@ def test_failed_image_write_keeps_the_old_file(tmp_path, monkeypatch, write, ras
 
 
 def _checkpoint_fields(tensors):
-    """(offset, size) of every header and entry field of write_checkpoint(tensors)."""
-    fields, off = [(4, 4), (8, 4)], 12
+    """(offset, size) of every header and entry field of write_checkpoint(tensors),
+    and of every entry's name."""
+    fields, names, off = [(4, 4), (8, 4)], [], 12
     for name in sorted(tensors):
         rank = np.ndim(tensors[name])
         fields += [(off, 2), (off + 2 + len(name), 1)]
+        names.append((off + 2, len(name)))
         off += 3 + len(name)
         fields += [(off + 4 * d, 4) for d in range(rank)]
         off += 4 * rank + 4 * np.size(tensors[name])
-    return fields
+    return fields, names
 
 
 def _fuzz_checkpoint(tmp_path):
     path = str(tmp_path / "f.pmxc")
     tensors = _tensors()
     write_checkpoint(path, tensors)
-    return path, open(path, "rb").read(), _checkpoint_fields(tensors)
+    return (path, open(path, "rb").read(), *_checkpoint_fields(tensors))
 
 
 def _fuzz_dataset(tmp_path):
@@ -565,7 +586,7 @@ def _fuzz_dataset(tmp_path):
                       gen.normal(size=(3, 2, 3)).astype(np.float32)) for _ in range(2)]
     path = _write(tmp_path, samples, name="f.pmxd")
     fields = [(4, 4), (8, 4), (12, 2), (14, 2), (16, 2), (18, 4), (22, 4)]
-    return path, open(path, "rb").read(), fields
+    return path, open(path, "rb").read(), fields, []
 
 
 def _fuzz_netpbm(magic, channels):
@@ -573,7 +594,7 @@ def _fuzz_netpbm(magic, channels):
         path = str(tmp_path / "f.pnm")
         blob = magic + b"\n# c\n3 2\n255\n" + bytes(range(6 * channels))
         open(path, "wb").write(blob)
-        return path, blob, [(7, 1), (9, 1), (11, 3)]   # width, height, maxval
+        return path, blob, [(7, 1), (9, 1), (11, 3)], []   # width, height, maxval
     return make
 
 
@@ -582,10 +603,12 @@ def _forged_value(gen, size):
     return (0, 1, 2, top, top - 1, gen.next_u64() & top, gen.next_below(64))[gen.next_below(7)]
 
 
-def _fuzz_case(gen, blob, fields, crc, text):
-    """A truncation, a bit flip or a forged field.  A checkpoint case gets a
-    valid CRC again, so that it reaches the entry parser."""
-    kind = gen.next_below(3)
+def _fuzz_case(gen, blob, fields, names, crc, text):
+    """A truncation, a bit flip, a forged field, or where ``names`` lists a
+    file's entry names, one name copied over another of its length or two
+    swapped.  A checkpoint case gets a valid CRC again, so that it reaches
+    the entry parser."""
+    kind = gen.next_below(4 if names else 3)
     out = bytearray(blob[:gen.next_below(len(blob))] if kind == 0 else blob)
     if kind == 1:
         out[gen.next_below(len(out))] ^= 1 << gen.next_below(8)
@@ -599,6 +622,13 @@ def _fuzz_case(gen, blob, fields, crc, text):
         else:
             out[off:off + size] = bytes(b"0123456789 -#\n\x00"[gen.next_below(15)]
                                         for _ in range(size))
+    elif kind == 3:
+        pairs = [(a, b) for a in names for b in names if a != b and a[1] == b[1]]
+        (a, size), (b, _) = pairs[gen.next_below(len(pairs))]
+        first, second = out[a:a + size], out[b:b + size]
+        out[b:b + size] = first
+        if gen.next_below(2):
+            out[a:a + size] = second
     if crc and len(out) > 8:
         out[-8:] = struct.pack("<Q", zlib.crc32(bytes(out[:-8])))
     return bytes(out)
@@ -612,11 +642,11 @@ def _fuzz_case(gen, blob, fields, crc, text):
 ], ids=["checkpoint", "dataset", "pgm", "ppm"])
 def test_reader_byte_fuzz_loads_or_raises_format_or_contract_error(tmp_path, make, read, crc,
                                                                    text):
-    path, blob, fields = make(tmp_path)
+    path, blob, fields, names = make(tmp_path)
     gen = SplitMix64(mix_seed_index(15, len(blob)))
     outcomes = {"loaded": 0, "refused": 0}
     for case in range(2000):
-        mutated = _fuzz_case(gen, blob, fields, crc, text)
+        mutated = _fuzz_case(gen, blob, fields, names, crc, text)
         with open(path, "wb") as fh:
             fh.write(mutated)
         try:

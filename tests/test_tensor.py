@@ -1,5 +1,6 @@
 """Autodiff engine: op semantics, pinned reference values, gradient checks."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -197,10 +198,12 @@ def test_conv2d_float64_sweep_matches_loop(stride, cin, cout):
 
 
 @pytest.mark.parametrize("cin,cout,size,stride",
-                         [(3, 32, 64, 2), (32, 32, 32, 2), (64, 64, 16, 1), (64, 64, 8, 1)])
+                         [(3, 32, 64, 2), (32, 32, 32, 2), (64, 64, 16, 1), (64, 64, 8, 1),
+                          (32, 64, 16, 1)])
 def test_conv2d_float32_within_rounding_bound_of_float64(cin, cout, size, stride):
-    # encoder shapes at batch 8: the two stem convs, a refine conv, and a
-    # stage-2 conv, whose wide grid (8 x 10) adds the most columns
+    # encoder shapes at batch 8: the two stem convs, a refine conv, a stage-2
+    # conv, whose wide grid (8 x 10) adds the most columns, and the skip conv,
+    # whose Cin < Cout lowers all nine taps in one group at stride 1
     x, wt, b, g = (a.astype(np.float32) for a in _conv_case(90, 8, cin, cout, size, size, stride))
     y32, dx32, dw32, db32 = _run_conv(x, wt, b, g, stride)
     assert y32.dtype == np.float32
@@ -226,6 +229,51 @@ def test_conv2d_repeated_call_is_bit_identical(stride):
     first, second = _run_conv(x, wt, b, g, stride), _run_conv(x, wt, b, g, stride)
     for a, c in zip(first, second):
         assert a.dtype == np.float32 and np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("cin,cout", [(5, 3), (3, 5)], ids=["row_taps", "nine_taps"])
+def test_conv2d_reads_only_initialized_memory(monkeypatch, stride, cin, cout):
+    # every np.empty/np.empty_like array starts as NaN.  The wrapped columns
+    # of a shifted view read the next image or the buffer's slack, and
+    # backward multiplies them by a zero gradient: 0 * NaN would show in dW
+    x, wt, b, g = (a.astype(np.float32) for a in _conv_case(97, 3, cin, cout, 9, 7, stride))
+    clean = _run_conv(x, wt, b, g, stride)
+    real_empty, real_empty_like = np.empty, np.empty_like
+
+    def poisoned(make):
+        def make_nan(*args, **kwargs):
+            out = make(*args, **kwargs)
+            if out.dtype.kind == "f":
+                out.fill(np.nan)
+            return out
+        return make_nan
+    monkeypatch.setattr(np, "empty", poisoned(real_empty))
+    monkeypatch.setattr(np, "empty_like", poisoned(real_empty_like))
+    assert np.isnan(np.empty(1)).all()
+    for a, c in zip(clean, _run_conv(x, wt, b, g, stride)):
+        assert np.array_equal(a, c)
+
+
+def _held_bytes(fn):
+    """Bytes traced as still allocated once ``fn`` has returned, its result alive."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        kept = fn()  # alive while the bytes are counted
+        return tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_conv2d_keeps_three_row_taps_for_backward():
+    # a 64 -> 64 stride-1 conv keeps its three row taps (3x the input) and
+    # its output (1x) until backward, not all nine taps (11x with the output)
+    gen = np.random.default_rng(5)
+    x = parameter(gen.normal(size=(8, 64, 16, 16)).astype(np.float32))
+    wt = parameter(gen.normal(size=(64, 64, 3, 3)).astype(np.float32))
+    b = parameter(np.zeros(64, dtype=np.float32))
+    assert _held_bytes(lambda: x.conv2d(wt, b)) <= 5 * x.data.nbytes
 
 
 def test_avg_pool_2x_means_blocks():
