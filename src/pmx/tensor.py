@@ -14,8 +14,8 @@ and inputs) keep ``.grad``, and a graph backpropagates once.
 The op set is deliberately closed: elementwise arithmetic, matmul (2D, batched
 3D, and 3D @ 2D), NCHW 3x3 convolution at stride 1 or 2 with padding 1 (the
 padded input held as flat polyphase planes, so that each im2col and col2im
-tap is one contiguous slice; taps lowered in groups, where a recorded conv
-with Cin >= Cout copies and holds only the three row taps and reads each
+tap is one contiguous slice; taps lowered in groups, where a conv that
+records a graph copies and holds only the three row taps and reads each
 column tap a column or two on; one gemm per group over the whole batch on
 an output grid a column or two wider than the image), softmax, layer norm
 over the last axis, bilinear 2x upsampling, reductions, and a small set of
@@ -52,6 +52,12 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+def _records(parents: Sequence["Tensor"]) -> bool:
+    """Whether an op on ``parents`` records a graph node: recording is on
+    and some parent requires grad."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
 
 
 class Tensor:
@@ -373,22 +379,23 @@ class Tensor:
         (i, j), images end to end, into a buffer of rows (Cin, taps) and
         columns B*ho*wq, plus one zeroed float per shift past the first; the
         buffer read k columns on is then tap (i, j + s*k) of every copied
-        tap.  A conv that records a graph with Cin >= Cout has one group per
-        column phase c < s, copying the three row taps (i, c), so each
-        column tap j of that phase is read at shift j//s: 3 runs copied and
-        held for backward instead of 9 at stride 1, and 6 instead of 9 at
-        stride 2.  Otherwise one group copies all nine taps, read at shift
-        0: with Cin < Cout the extra output passes of the shifts cost more
-        than the copies save; without a graph nothing is held, and the one
-        large buffer keeps glibc's dynamic heap thresholds above what a
-        forward pass frees, so the heap is not handed back and faulted in
-        again between passes (see ``pmx.cli.pin_heap_thresholds``).
+        tap.  A conv that records a graph has one group per column phase
+        c < s, copying the three row taps (i, c), so each column tap j of
+        that phase is read at shift j//s: 3 runs copied and held for
+        backward instead of 9 at stride 1, and 6 instead of 9 at stride 2.
+        A conv without a graph holds nothing and has one group of all nine
+        taps, read at shift 0.  That fork is temporary: its one large
+        buffer keeps glibc's dynamic heap thresholds above what a forward
+        pass frees, so a process that leaves them dynamic, as the benchmark
+        does until it calls ``pmx.cli.pin_heap_thresholds``, does not hand
+        the heap back and fault it in again between passes.  With the
+        thresholds pinned, as ``pmx`` does, the row taps were faster.
 
         Each product is one gemm per group over the whole batch, with the
         weights of every shift stacked: forward multiplies (shifts*Cout,
         Cin*taps) weights by the buffer and sums row block k read k columns
-        on, then crops the wide result to (B, Cout, ho, wo), adding the bias
-        as it crops.  Backward widens g with zero columns and stacks it once
+        on, then crops the wide result to (B, Cout, ho, wo) and adds the
+        bias.  Backward widens g with zero columns and stacks it once
         per shift, block k moved k columns on; dW is that stack times the
         bufferᵀ, and the stacked weightsᵀ times it is the buffer's gradient,
         whose rows are added back into the planes at each copied tap's
@@ -425,7 +432,7 @@ class Tensor:
         def tap(i, j):
             return (i % stride) * stride + j % stride, (i // stride) * wq + j // stride
         parents = (self, weight) if bias is None else (self, weight, bias)
-        row_taps = cin >= cout and _grad_enabled and any(t.requires_grad for t in parents)
+        row_taps = _records(parents)  # nine taps without a graph, until the bench pins the heap
         if row_taps:  # group c copies taps (i, c) and reads taps (i, c + s*k) at shift k
             copied = [[(i, c) for i in range(3)] for c in range(stride)]
         else:
@@ -460,12 +467,9 @@ class Tensor:
             for k in range(shifts):
                 block = prod[k * cout:(k + 1) * cout, k:k + m]
                 yw = block if yw is None else np.add(yw, block, out=yw)
-        y = np.empty((bsz, cout, ho, wo), dtype=yw.dtype)
-        wide = yw.reshape(cout, bsz, ho, wq)[..., :wo].transpose(1, 0, 2, 3)
-        if bias is None:
-            np.copyto(y, wide)
-        else:
-            np.add(wide, bias.data[:, None, None], out=y)
+        y = np.ascontiguousarray(yw.reshape(cout, bsz, ho, wq)[..., :wo].transpose(1, 0, 2, 3))
+        if bias is not None:
+            y += bias.data[:, None, None]
 
         def back(g):
             if bias is not None and bias.requires_grad:
@@ -537,7 +541,7 @@ def _result(data: np.ndarray, parents: Sequence[Tensor],
     if precision.debug() and not np.all(np.isfinite(data)):
         raise FloatingPointError("non-finite values in op output")
     out = Tensor.__new__(Tensor)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _records(parents):
         out._set(np.asarray(data), True, tuple(parents), backfn)
     else:
         out._set(np.asarray(data), False, (), None)

@@ -575,7 +575,7 @@ def _fuzz_checkpoint(tmp_path):
     path = str(tmp_path / "f.pmxc")
     tensors = _tensors()
     write_checkpoint(path, tensors)
-    return (path, open(path, "rb").read(), *_checkpoint_fields(tensors))
+    return path, open(path, "rb").read(), _checkpoint_fields(tensors)[0]
 
 
 def _fuzz_dataset(tmp_path):
@@ -586,7 +586,7 @@ def _fuzz_dataset(tmp_path):
                       gen.normal(size=(3, 2, 3)).astype(np.float32)) for _ in range(2)]
     path = _write(tmp_path, samples, name="f.pmxd")
     fields = [(4, 4), (8, 4), (12, 2), (14, 2), (16, 2), (18, 4), (22, 4)]
-    return path, open(path, "rb").read(), fields, []
+    return path, open(path, "rb").read(), fields
 
 
 def _fuzz_netpbm(magic, channels):
@@ -594,7 +594,7 @@ def _fuzz_netpbm(magic, channels):
         path = str(tmp_path / "f.pnm")
         blob = magic + b"\n# c\n3 2\n255\n" + bytes(range(6 * channels))
         open(path, "wb").write(blob)
-        return path, blob, [(7, 1), (9, 1), (11, 3)], []   # width, height, maxval
+        return path, blob, [(7, 1), (9, 1), (11, 3)]   # width, height, maxval
     return make
 
 
@@ -603,12 +603,10 @@ def _forged_value(gen, size):
     return (0, 1, 2, top, top - 1, gen.next_u64() & top, gen.next_below(64))[gen.next_below(7)]
 
 
-def _fuzz_case(gen, blob, fields, names, crc, text):
-    """A truncation, a bit flip, a forged field, or where ``names`` lists a
-    file's entry names, one name copied over another of its length or two
-    swapped.  A checkpoint case gets a valid CRC again, so that it reaches
-    the entry parser."""
-    kind = gen.next_below(4 if names else 3)
+def _fuzz_case(gen, blob, fields, crc, text):
+    """A truncation, a bit flip or a forged field.  A checkpoint case gets a
+    valid CRC again, so that it reaches the entry parser."""
+    kind = gen.next_below(3)
     out = bytearray(blob[:gen.next_below(len(blob))] if kind == 0 else blob)
     if kind == 1:
         out[gen.next_below(len(out))] ^= 1 << gen.next_below(8)
@@ -622,13 +620,6 @@ def _fuzz_case(gen, blob, fields, names, crc, text):
         else:
             out[off:off + size] = bytes(b"0123456789 -#\n\x00"[gen.next_below(15)]
                                         for _ in range(size))
-    elif kind == 3:
-        pairs = [(a, b) for a in names for b in names if a != b and a[1] == b[1]]
-        (a, size), (b, _) = pairs[gen.next_below(len(pairs))]
-        first, second = out[a:a + size], out[b:b + size]
-        out[b:b + size] = first
-        if gen.next_below(2):
-            out[a:a + size] = second
     if crc and len(out) > 8:
         out[-8:] = struct.pack("<Q", zlib.crc32(bytes(out[:-8])))
     return bytes(out)
@@ -642,11 +633,11 @@ def _fuzz_case(gen, blob, fields, names, crc, text):
 ], ids=["checkpoint", "dataset", "pgm", "ppm"])
 def test_reader_byte_fuzz_loads_or_raises_format_or_contract_error(tmp_path, make, read, crc,
                                                                    text):
-    path, blob, fields, names = make(tmp_path)
+    path, blob, fields = make(tmp_path)
     gen = SplitMix64(mix_seed_index(15, len(blob)))
     outcomes = {"loaded": 0, "refused": 0}
     for case in range(2000):
-        mutated = _fuzz_case(gen, blob, fields, names, crc, text)
+        mutated = _fuzz_case(gen, blob, fields, crc, text)
         with open(path, "wb") as fh:
             fh.write(mutated)
         try:
@@ -656,4 +647,48 @@ def test_reader_byte_fuzz_loads_or_raises_format_or_contract_error(tmp_path, mak
             outcomes["refused"] += 1
         except Exception as exc:   # any other exception fails, naming the case
             pytest.fail(f"case {case}: {type(exc).__name__}: {exc}; bytes {mutated.hex()}")
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def _name_case(gen, blob, names):
+    """One entry name copied over another of its length, two such names
+    swapped, or one name's bytes redrawn from a small alphabet; the CRC is
+    made valid again, so that the case reaches the entry parser."""
+    out = bytearray(blob)
+    kind = gen.next_below(3)
+    if kind < 2:
+        pairs = [(a, b) for a in names for b in names if a != b and a[1] == b[1]]
+        (a, size), (b, _) = pairs[gen.next_below(len(pairs))]
+        first, second = out[a:a + size], out[b:b + size]
+        out[b:b + size] = first
+        if kind == 1:
+            out[a:a + size] = second
+    else:
+        off, size = names[gen.next_below(len(names))]
+        out[off:off + size] = bytes(b"abcxyz/"[gen.next_below(7)] for _ in range(size))
+    out[-8:] = struct.pack("<Q", zlib.crc32(bytes(out[:-8])))
+    return bytes(out)
+
+
+def test_checkpoint_name_fuzz_loads_every_entry_or_raises_format_error(tmp_path):
+    # on top of the byte fuzz above: a file that loads keeps one entry per name, in order
+    path = str(tmp_path / "n.pmxc")
+    tensors = {name: np.full(2, k, dtype=np.float32)
+               for k, name in enumerate(["a/u", "a/v", "b/u", "c/w", "meta/k"])}
+    write_checkpoint(path, tensors)
+    blob = open(path, "rb").read()
+    names = _checkpoint_fields(tensors)[1]
+    gen = SplitMix64(mix_seed_index(16, len(blob)))
+    outcomes = {"loaded": 0, "refused": 0}
+    for case in range(500):
+        mutated = _name_case(gen, blob, names)
+        with open(path, "wb") as fh:
+            fh.write(mutated)
+        try:
+            got = read_checkpoint(path)
+        except FormatError:
+            outcomes["refused"] += 1
+            continue
+        assert len(got) == len(tensors) and list(got) == sorted(got), (case, list(got))
+        outcomes["loaded"] += 1
     assert min(outcomes.values()) > 0, outcomes
