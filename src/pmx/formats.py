@@ -176,8 +176,6 @@ def write_checkpoint(path: str, tensors: Dict[str, np.ndarray]) -> None:
     model-config entries and ``train/`` for the training settings a resume
     must share; all are ordinary tensors to this format."""
     names = sorted(tensors)
-    if len(names) != len(set(names)):
-        raise ContractError("duplicate tensor names")
     parts = [_CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(names))]
     for name in names:
         arr = np.asarray(tensors[name], dtype="<f4", order="C")

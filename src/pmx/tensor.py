@@ -1,15 +1,21 @@
 """Reverse-mode autodiff over numpy arrays.
 
-A ``Tensor`` wraps one contiguous float ndarray plus an optional gradient.
-Every op computes its output array, defines a backward closure over its
-inputs, and hands both to ``_result``.  ``_result`` keeps the parents and
-the closure only when graph recording is on and some parent requires grad;
-otherwise the output is a plain constant and the closure is dropped.
-Calling ``backward()`` on a scalar loss runs the closures in reverse
-topological order, adding each input's share into its ``.grad``, and frees
-the graph as the walk passes it: once an interior node's closure has run,
-its ``.grad``, closure and parents are dropped, so only leaves (parameters
-and inputs) keep ``.grad``, and a graph backpropagates once.
+A ``Tensor`` wraps one contiguous float ndarray.  An op computes its output
+array, defines a backward closure, and hands both to ``_result``.  ``_result``
+records a graph node only when graph recording is on and some parent
+requires grad; otherwise the output is a plain constant and the closure is
+dropped.  The node is a small object apart from the output ``Tensor``: it
+holds the gradient, the closure, the parents' nodes, and the output's shape
+and dtype, but never its ``.data``.  A leaf (a parameter, an input or a
+constant) is its own node.  The closure receives the parents' nodes as
+arguments and captures only the arrays its backward reads (relu a bool
+mask, reshape or a sum nothing but static sizes), so an op output whose
+array no backward reads is freed once the forward code drops its
+``Tensor``.  Calling ``backward()`` on a scalar loss runs the closures in
+reverse topological order, adding each input's share into its node's
+``.grad``, and frees the graph as the walk passes it: once a node's closure
+has run, its ``.grad``, closure and parents are dropped, so only leaves
+(parameters and inputs) keep ``.grad``, and a graph backpropagates once.
 
 The op set is deliberately closed: elementwise arithmetic, matmul (2D, batched
 3D, and 3D @ 2D), NCHW 3x3 convolution at stride 1 or 2 with padding 1 (the
@@ -32,7 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,21 +66,48 @@ def _records(parents: Sequence["Tensor"]) -> bool:
     return _grad_enabled and any(p.requires_grad for p in parents)
 
 
+class _Node:
+    """The graph node of a recorded op output: its gradient, the backward
+    closure, the parents' nodes, and the output's shape and dtype.  The
+    closure is called as ``backfn(grad, *parents)`` and adds each parent's
+    share through ``parent._accum``."""
+    __slots__ = ("grad", "shape", "dtype", "_parents", "_backfn")
+    requires_grad = True
+
+    def __init__(self, data: np.ndarray, parents: Tuple["Node", ...],
+                 backfn: Callable[..., None]):
+        self.grad: Optional[np.ndarray] = None
+        self.shape, self.dtype = data.shape, data.dtype
+        self._parents = parents
+        self._backfn = backfn
+
+    def _accum(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add g into .grad.  The first accumulation copies g, unless the op
+        says it built g for this input alone (``owned``): then .grad takes
+        the array itself.  Closures that pass their incoming gradient
+        through, or a view of it, must not claim ownership."""
+        if self.grad is None:
+            if owned and g.dtype == self.dtype:
+                self.grad = g
+            else:
+                self.grad = g.astype(self.dtype, copy=True)
+        else:
+            self.grad += g
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backfn")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         """Leaf node, cast to the active precision."""
-        self._set(np.asarray(data, dtype=precision.dtype()), bool(requires_grad), (), None)
+        self._set(np.asarray(data, dtype=precision.dtype()), bool(requires_grad), None)
 
-    def _set(self, arr: np.ndarray, requires_grad: bool, parents: Tuple["Tensor", ...],
-             backfn: Optional[Callable[[np.ndarray], None]]) -> None:
+    def _set(self, arr: np.ndarray, requires_grad: bool, node: Optional[_Node]) -> None:
         # ascontiguousarray would promote 0-d to shape (1,); keep scalars 0-d
         self.data: np.ndarray = arr if arr.flags["C_CONTIGUOUS"] else arr.copy(order="C")
-        self.grad: Optional[np.ndarray] = None
+        self.grad: Optional[np.ndarray] = None  # a leaf's; an op output's lives on its node
         self.requires_grad = requires_grad
-        self._parents = parents
-        self._backfn = backfn
+        self._node = node  # None: a leaf, which is its own node
 
     # ---- plumbing ---------------------------------------------------------
 
@@ -86,33 +119,39 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def _accum(self, g: np.ndarray, owned: bool = False) -> None:
-        """Add g into .grad.  The first accumulation copies g, unless the op
-        says it built g for this input alone (``owned``): then .grad takes
-        the array itself.  Closures that pass their incoming gradient
-        through, or a view of it, must not claim ownership."""
-        if self.grad is None:
-            if owned and g.dtype == self.data.dtype:
-                self.grad = g
-            else:
-                self.grad = g.astype(self.data.dtype, copy=True)
-        else:
-            self.grad += g
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
+
+    @property
+    def _parents(self) -> Optional[Tuple["Node", ...]]:
+        """The parents' nodes: () for a leaf, None once backpropagated."""
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backfn(self) -> Optional[Callable[..., None]]:
+        return None if self._node is None else self._node._backfn
+
+    _accum = _Node._accum
 
     def backward(self) -> None:
         """Backprop from a scalar, freeing the graph on the way.
 
-        Each interior node's closure runs once all its consumers have added
-        their share into its ``.grad``; then the node drops its ``.grad``,
-        closure and parents (``_parents`` becomes None, unlike a leaf's
-        ``()``).  Leaves keep ``.grad``.  Raises ShapeError on a non-scalar
-        and ContractError on a graph that has already been backpropagated.
+        The walk runs over nodes: a recorded op output's ``_Node``, which
+        holds its ``.grad``, closure and parents' nodes but not its
+        ``.data``, or a leaf ``Tensor``, which is its own node.  Each node's
+        closure runs once all its consumers have added their share into its
+        ``.grad``; then the node drops its ``.grad``, closure and parents
+        (``_parents`` becomes None, unlike a leaf's ``()``).  Leaves keep
+        ``.grad``.  Raises ShapeError on a non-scalar and ContractError on a
+        graph that has already been backpropagated.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar, got shape {self.shape}")
-        order: List[Tensor] = []
+        root = _node_of(self)
+        order: List[Node] = []
         seen = set()
-        stack: List[Tuple[Tensor, bool]] = [(self, False)]
+        stack: List[Tuple[Node, bool]] = [(root, False)]
         while stack:
             node, done = stack.pop()
             if done:
@@ -127,12 +166,12 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         while order:
             node = order.pop()
             if node._backfn is not None:
                 if node.grad is not None:
-                    node._backfn(node.grad)
+                    node._backfn(node.grad, *node._parents)
                 node.grad = node._backfn = node._parents = None
 
     def __repr__(self) -> str:
@@ -144,7 +183,7 @@ class Tensor:
         if isinstance(other, Tensor):
             _same_shape(self, other, "add")
             return _binary(self, other, self.data + other.data, lambda g: g, lambda g: g)
-        return _result(self.data + other, (self,), lambda g: self._accum(g))
+        return _result(self.data + other, (self,), lambda g, xn: xn._accum(g))
 
     __radd__ = __add__
 
@@ -155,29 +194,31 @@ class Tensor:
         return self.__add__(-other)
 
     def __neg__(self):
-        return _result(-self.data, (self,), lambda g: self._accum(-g, owned=True))
+        return _result(-self.data, (self,), lambda g, xn: xn._accum(-g, owned=True))
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
             _same_shape(self, other, "mul")
-            return _binary(self, other, self.data * other.data,
-                           lambda g: g * other.data, lambda g: g * self.data, owned=True)
-        return _result(self.data * other, (self,), lambda g: self._accum(g * other, owned=True))
+            a, b = self.data, other.data
+            return _binary(self, other, a * b, lambda g: g * b, lambda g: g * a, owned=True)
+        return _result(self.data * other, (self,),
+                       lambda g, xn: xn._accum(g * other, owned=True))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Tensor):
             _same_shape(self, other, "div")
-            return _binary(self, other, self.data / other.data, lambda g: g / other.data,
-                           lambda g: -g * self.data / (other.data * other.data), owned=True)
+            a, b = self.data, other.data
+            return _binary(self, other, a / b, lambda g: g / b,
+                           lambda g: -g * a / (b * b), owned=True)
         return self.__mul__(1.0 / other)
 
     # ---- unary elementwise --------------------------------------------------
 
     def relu(self) -> "Tensor":
-        return _result(np.maximum(self.data, 0), (self,),
-                       lambda g: self._accum(g * (self.data > 0), owned=True))
+        y = np.maximum(self.data, 0)
+        return _scaled(self, y, lambda: y > 0)
 
     def gelu(self) -> "Tensor":
         """Tanh-approximation gelu: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))."""
@@ -186,10 +227,9 @@ class Tensor:
         inner = c * (x + 0.044715 * x**3)
         t = np.tanh(inner)
 
-        def back(g):
-            xx = self.data
-            dinner = c * (1.0 + 3.0 * 0.044715 * xx * xx)
-            self._accum(g * (0.5 * (1.0 + t) + 0.5 * xx * (1.0 - t * t) * dinner), owned=True)
+        def back(g, xn):
+            dinner = c * (1.0 + 3.0 * 0.044715 * x * x)
+            xn._accum(g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner), owned=True)
         return _result(0.5 * x * (1.0 + t), (self,), back)
 
     def sigmoid(self) -> "Tensor":
@@ -200,34 +240,36 @@ class Tensor:
         s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         e = np.exp(x[~pos])
         s[~pos] = e / (1.0 + e)
-        return _result(s, (self,), lambda g: self._accum(g * s * (1.0 - s), owned=True))
+        return _result(s, (self,), lambda g, xn: xn._accum(g * s * (1.0 - s), owned=True))
 
     def exp(self) -> "Tensor":
         y = np.exp(self.data)
-        return _result(y, (self,), lambda g: self._accum(g * y, owned=True))
+        return _result(y, (self,), lambda g, xn: xn._accum(g * y, owned=True))
 
     def log(self) -> "Tensor":
-        return _result(np.log(self.data), (self,), lambda g: self._accum(g / self.data, owned=True))
+        x = self.data
+        return _result(np.log(x), (self,), lambda g, xn: xn._accum(g / x, owned=True))
 
     def sqrt(self) -> "Tensor":
         y = np.sqrt(self.data)
-        return _result(y, (self,), lambda g: self._accum(g * 0.5 / y, owned=True))
+        return _result(y, (self,), lambda g, xn: xn._accum(g * 0.5 / y, owned=True))
 
     def abs(self) -> "Tensor":
-        return _result(np.abs(self.data), (self,),
-                       lambda g: self._accum(g * np.sign(self.data), owned=True))
+        return _scaled(self, np.abs(self.data), lambda: np.sign(self.data))
 
     def clamp(self, lo: Optional[float] = None, hi: Optional[float] = None) -> "Tensor":
         """Clip to [lo, hi]; gradient passes where lo <= x <= hi (subgradient 1
         at the boundary)."""
-        def back(g):
-            mask = np.ones_like(self.data, dtype=bool)
+        x = self.data
+
+        def inside():
+            mask = np.ones_like(x, dtype=bool)
             if lo is not None:
-                mask &= self.data >= lo
+                mask &= x >= lo
             if hi is not None:
-                mask &= self.data <= hi
-            self._accum(g * mask, owned=True)
-        return _result(np.clip(self.data, lo, hi), (self,), back)
+                mask &= x <= hi
+            return mask
+        return _scaled(self, np.clip(x, lo, hi), inside)
 
     def clamp_min(self, lo: float) -> "Tensor":
         return self.clamp(lo=lo)
@@ -241,20 +283,20 @@ class Tensor:
             raise ShapeError(f"matmul unsupported for ndim {a.ndim} @ {b.ndim}")
         if a.shape[-1] != b.shape[-2] or (b.ndim == 3 and a.shape[0] != b.shape[0]):
             raise ShapeError(f"matmul {a.shape} @ {b.shape}")
+        shared, cols = a.ndim != b.ndim, b.shape[-1]
 
         def grad_other(g):
-            s = self.data
-            if s.ndim == other.ndim:
-                return s.swapaxes(-1, -2) @ g
-            return s.reshape(-1, s.shape[-1]).T @ g.reshape(-1, other.shape[-1])
-        return _binary(self, other, a @ b,
-                       lambda g: g @ other.data.swapaxes(-1, -2), grad_other, owned=True)
+            if shared:
+                return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, cols)
+            return a.swapaxes(-1, -2) @ g
+        return _binary(self, other, a @ b, lambda g: g @ b.swapaxes(-1, -2), grad_other,
+                       owned=True)
 
     def transpose_last2(self) -> "Tensor":
         if self.ndim < 2:
             raise ShapeError("transpose_last2 needs ndim >= 2")
         return _result(np.ascontiguousarray(self.data.swapaxes(-1, -2)), (self,),
-                       lambda g: self._accum(np.ascontiguousarray(g.swapaxes(-1, -2))))
+                       lambda g, xn: xn._accum(np.ascontiguousarray(g.swapaxes(-1, -2))))
 
     # ---- normalization ------------------------------------------------------
 
@@ -264,9 +306,9 @@ class Tensor:
         e = np.exp(shifted)
         y = e / e.sum(axis=axis, keepdims=True)
 
-        def back(g):
+        def back(g, xn):
             dot = (g * y).sum(axis=axis, keepdims=True)
-            self._accum(y * (g - dot), owned=True)
+            xn._accum(y * (g - dot), owned=True)
         return _result(y, (self,), back)
 
     def layernorm(self, gamma: "Tensor", beta: "Tensor", eps: float = 1e-5) -> "Tensor":
@@ -278,44 +320,44 @@ class Tensor:
         d = self.shape[-1]
         if gamma.shape != (d,) or beta.shape != (d,):
             raise ShapeError(f"layernorm affine shapes {gamma.shape}/{beta.shape} for feature {d}")
-        x = self.data
+        x, scale = self.data, gamma.data
         mu = x.mean(axis=-1, keepdims=True)
         xc = x - mu
         var = (xc * xc).mean(axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt(var + eps)
         xhat = xc * inv
 
-        def back(g):
-            if gamma.requires_grad:
-                gamma._accum((g * xhat).reshape(-1, d).sum(axis=0), owned=True)
-            if beta.requires_grad:
-                beta._accum(g.reshape(-1, d).sum(axis=0), owned=True)
-            if self.requires_grad:
-                dxhat = g * gamma.data
+        def back(g, xn, gn, bn):
+            if gn.requires_grad:
+                gn._accum((g * xhat).reshape(-1, d).sum(axis=0), owned=True)
+            if bn.requires_grad:
+                bn._accum(g.reshape(-1, d).sum(axis=0), owned=True)
+            if xn.requires_grad:
+                dxhat = g * scale
                 m1 = dxhat.mean(axis=-1, keepdims=True)
                 m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-                self._accum(inv * (dxhat - m1 - xhat * m2), owned=True)
-        return _result(xhat * gamma.data + beta.data, (self, gamma, beta), back)
+                xn._accum(inv * (dxhat - m1 - xhat * m2), owned=True)
+        return _result(xhat * scale + beta.data, (self, gamma, beta), back)
 
     # ---- shape ops ------------------------------------------------------------
 
     def reshape(self, *shape: int) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        old = self.shape
-        return _result(self.data.reshape(shape), (self,), lambda g: self._accum(g.reshape(old)))
+        return _result(self.data.reshape(shape), (self,),
+                       lambda g, xn: xn._accum(g.reshape(xn.shape)))
 
     def expand_axis(self, axis: int, n: int) -> "Tensor":
         """Repeat a size-1 axis n times.  Backward sums over that axis."""
         if self.shape[axis] != 1:
             raise ShapeError(f"expand_axis needs size 1 at axis {axis}, got {self.shape}")
         return _result(np.repeat(self.data, n, axis=axis), (self,),
-                       lambda g: self._accum(g.sum(axis=axis, keepdims=True), owned=True))
+                       lambda g, xn: xn._accum(g.sum(axis=axis, keepdims=True), owned=True))
 
     def expand_leading(self, n: int) -> "Tensor":
         """Prepend a new leading axis of size n.  Backward sums over it."""
         return _result(np.ascontiguousarray(np.broadcast_to(self.data, (n,) + self.shape)),
-                       (self,), lambda g: self._accum(g.sum(axis=0), owned=True))
+                       (self,), lambda g, xn: xn._accum(g.sum(axis=0), owned=True))
 
     def narrow(self, axis: int, start: int, length: int) -> "Tensor":
         """Contiguous slice along one axis.  Backward zero-pads."""
@@ -323,26 +365,26 @@ class Tensor:
         idx[axis] = slice(start, start + length)
         idx = tuple(idx)
 
-        def back(g):
-            full = np.zeros_like(self.data)
+        def back(g, xn):
+            full = np.zeros(xn.shape, dtype=xn.dtype)
             full[idx] = g
-            self._accum(full, owned=True)
+            xn._accum(full, owned=True)
         return _result(np.ascontiguousarray(self.data[idx]), (self,), back)
 
     def cumsum_last(self) -> "Tensor":
-        return _result(np.cumsum(self.data, axis=-1), (self,), lambda g: self._accum(
+        return _result(np.cumsum(self.data, axis=-1), (self,), lambda g, xn: xn._accum(
             np.flip(np.cumsum(np.flip(g, axis=-1), axis=-1), axis=-1)))
 
     # ---- reductions -----------------------------------------------------------
 
     def sum(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
         return _result(self.data.sum(axis=axis, keepdims=keepdims), (self,),
-                       lambda g: self._accum(_spread(g, axis, keepdims, self.shape), owned=True))
+                       lambda g, xn: xn._accum(_spread(g, axis, keepdims, xn.shape), owned=True))
 
     def mean(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
         n = self.data.size if axis is None else self.shape[axis]
         return _result(self.data.mean(axis=axis, keepdims=keepdims), (self,),
-                       lambda g: self._accum(_spread(g, axis, keepdims, self.shape) / n,
+                       lambda g, xn: xn._accum(_spread(g, axis, keepdims, xn.shape) / n,
                                              owned=True))
 
     # ---- indexing ---------------------------------------------------------------
@@ -356,10 +398,10 @@ class Tensor:
             raise ShapeError(f"gather_rows indices {idx.shape} for tensor {self.shape}")
         rows = np.arange(self.shape[0])
 
-        def back(g):
-            full = np.zeros_like(self.data)
+        def back(g, xn):
+            full = np.zeros(xn.shape, dtype=xn.dtype)
             np.add.at(full, (rows, idx), g)
-            self._accum(full, owned=True)
+            xn._accum(full, owned=True)
         return _result(self.data[rows, idx], (self,), back)
 
     # ---- spatial ops ---------------------------------------------------------
@@ -471,23 +513,23 @@ class Tensor:
         if bias is not None:
             y += bias.data[:, None, None]
 
-        def back(g):
-            if bias is not None and bias.requires_grad:
-                bias._accum(g.reshape(bsz, cout, ho * wo).sum(axis=(0, 2)), owned=True)
+        def back(g, xn, wn, bn=None):
+            if bn is not None and bn.requires_grad:
+                bn._accum(g.reshape(bsz, cout, ho * wo).sum(axis=(0, 2)), owned=True)
             # row block k: g on the wide grid, k columns on, zero in the wrapped columns
             most = max(shifts for _, shifts, _, _ in groups)
             gk = np.zeros((most, cout, m + most - 1), dtype=g.dtype)
             gk[0, :, :m].reshape(cout, bsz, ho, wq)[..., :wo] = g.transpose(1, 0, 2, 3)
             for k in range(1, most):
                 gk[k, :, k:k + m] = gk[0, :, :m]
-            if weight.requires_grad:
-                dw = np.empty(w.shape, dtype=np.result_type(g, x))
+            if wn.requires_grad:
+                dw = np.empty(wn.shape, dtype=np.result_type(g, xn.dtype))
                 for (taps, shifts, _, buf), dv in zip(groups, by_group(dw)):
                     g2 = gk[:shifts, :, :m + shifts - 1].reshape(shifts * cout, -1)
                     dv[...] = (g2 @ buf.T).reshape(shifts, cout, cin, len(taps))
-                weight._accum(dw, owned=True)
-            if self.requires_grad:
-                dxq = np.zeros(planes, dtype=np.result_type(g, w))
+                wn._accum(dw, owned=True)
+            if xn.requires_grad:
+                dxq = np.zeros(planes, dtype=np.result_type(g, wn.dtype))
                 for taps, shifts, wg, _ in groups:
                     g2 = gk[:shifts, :, :m + shifts - 1].reshape(shifts * cout, -1)
                     dbuf = (wg.T @ g2)[:, :m].reshape(cin, len(taps), bsz, n)
@@ -497,10 +539,10 @@ class Tensor:
                     del dbuf
                 del gk, g2  # free them before dx is allocated
                 dgrid = grid(dxq)
-                dx = np.empty_like(x)
+                dx = np.empty(xn.shape, dtype=xn.dtype)
                 for p, (xr, qr), (xc, qc) in phases:
                     dx[:, :, xr, xc] = dgrid[:, p, :, qr, qc].transpose(1, 0, 2, 3)
-                self._accum(dx, owned=True)
+                xn._accum(dx, owned=True)
         return _result(y, parents, back)
 
     def bilinear_upsample2x(self) -> "Tensor":
@@ -514,9 +556,9 @@ class Tensor:
         lw = _interp_matrix(w, self.data.dtype)
         y2 = lh @ self.data.reshape(bsz * c, h, w) @ lw.T
 
-        def back(g):
+        def back(g, xn):
             g2 = g.reshape(bsz * c, 2 * h, 2 * w)
-            self._accum((lh.T @ g2 @ lw).reshape(bsz, c, h, w), owned=True)
+            xn._accum((lh.T @ g2 @ lw).reshape(bsz, c, h, w), owned=True)
         return _result(y2.reshape(bsz, c, 2 * h, 2 * w), (self,), back)
 
     def avg_pool2d(self, factor: int) -> "Tensor":
@@ -528,24 +570,43 @@ class Tensor:
             raise ShapeError(f"avg_pool2d factor {factor} does not divide {h}x{w}")
         y = self.data.reshape(bsz, c, h // factor, factor, w // factor, factor).mean(axis=(3, 5))
 
-        def back(g):
+        def back(g, xn):
             up = np.repeat(np.repeat(g, factor, axis=2), factor, axis=3)
-            self._accum(up / (factor * factor), owned=True)
+            xn._accum(up / (factor * factor), owned=True)
         return _result(y, (self,), back)
 
 
+Node = Union[_Node, Tensor]
+
+
+def _node_of(t: Tensor) -> Node:
+    return t if t._node is None else t._node
+
+
 def _result(data: np.ndarray, parents: Sequence[Tensor],
-            backfn: Callable[[np.ndarray], None]) -> Tensor:
-    """Op output node.  Keeps numpy's dtype; records parents and backfn only
-    when some parent requires grad and recording is on."""
+            backfn: Optional[Callable[..., None]]) -> Tensor:
+    """Op output.  Keeps numpy's dtype; records a node holding backfn and the
+    parents' nodes only when backfn is given, some parent requires grad and
+    recording is on."""
     if precision.debug() and not np.all(np.isfinite(data)):
         raise FloatingPointError("non-finite values in op output")
     out = Tensor.__new__(Tensor)
-    if _records(parents):
-        out._set(np.asarray(data), True, tuple(parents), backfn)
+    arr = np.asarray(data)
+    if backfn is not None and _records(parents):
+        out._set(arr, True, _Node(arr, tuple(_node_of(p) for p in parents), backfn))
     else:
-        out._set(np.asarray(data), False, (), None)
+        out._set(arr, False, None)
     return out
+
+
+def _scaled(x: Tensor, data: np.ndarray, factor: Callable[[], np.ndarray]) -> Tensor:
+    """Output of a one-input op whose input gradient is g * factor().  The
+    factor, a mask or a sign, is built and kept only when the op records a
+    graph, so the op holds neither its input nor its output."""
+    if not _records((x,)):
+        return _result(data, (x,), None)
+    f = factor()
+    return _result(data, (x,), lambda g, xn: xn._accum(g * f, owned=True))
 
 
 def _binary(a: Tensor, b: Tensor, data: np.ndarray,
@@ -553,12 +614,18 @@ def _binary(a: Tensor, b: Tensor, data: np.ndarray,
             grad_b: Callable[[np.ndarray], np.ndarray], owned: bool = False) -> Tensor:
     """Two-input op whose backward sends grad_a(g) to a and grad_b(g) to b,
     each computed only if that input requires grad.  ``owned``: both
-    functions return a new array (see ``Tensor._accum``)."""
-    def back(g):
-        if a.requires_grad:
-            a._accum(grad_a(g), owned)
-        if b.requires_grad:
-            b._accum(grad_b(g), owned)
+    functions return a new array (see ``_Node._accum``)."""
+    if not _records((a, b)):
+        return _result(data, (a, b), None)
+    # keep only the gradient functions that will run, with the arrays they read
+    ga = grad_a if a.requires_grad else None
+    gb = grad_b if b.requires_grad else None
+
+    def back(g, an, bn):
+        if ga is not None:
+            an._accum(ga(g), owned)
+        if gb is not None:
+            bn._accum(gb(g), owned)
     return _result(data, (a, b), back)
 
 

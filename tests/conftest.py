@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pmx.scene import SceneConfig, generate_split
-from pmx.tensor import Tensor
+from pmx.tensor import Tensor, _Node
 
 
 @pytest.fixture(scope="session")
@@ -32,12 +32,13 @@ def made_grads(monkeypatch):
     checked as the gradients are made.  Holding each array keeps its buffer
     from being freed and handed to a later gradient."""
     made = []
-    accum = Tensor._accum
+    accum = _Node._accum
 
     def recording(self, g, owned=False):
         fresh = self.grad is None
         accum(self, g, owned)
         if fresh:
             made.append(self.grad)
-    monkeypatch.setattr(Tensor, "_accum", recording)
+    for kind in (_Node, Tensor):  # op outputs' nodes and leaves
+        monkeypatch.setattr(kind, "_accum", recording)
     return made

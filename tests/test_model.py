@@ -1,6 +1,7 @@
 """Model assembly, prediction shapes, and checkpoint reconstruction."""
 
 import re
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 
 from pmx.errors import ContractError, FormatError
 from pmx.formats import read_checkpoint, write_checkpoint
-from pmx.model import (Model, ModelConfig, config_from_meta, load_model,
+from pmx.losses import LossConfig, total_loss
+from pmx.model import (PRED_KEY, Model, ModelConfig, config_from_meta, load_model,
                        save_model)
 from pmx.rng import SplitMix64
 from pmx.tensor import Tensor
@@ -164,6 +166,24 @@ def test_training_step_backward_leaves_only_leaves(rng):
         stack.extend(node._parents or ())
     for name, p in model.params().items():
         assert p.grad is not None and np.all(np.isfinite(p.grad)), name
+
+
+def test_recorded_training_forward_holds_at_most_20_mb(rng):
+    # graph nodes keep only the arrays their backward reads; when every op
+    # output kept its own array this forward plus loss held 26.7 MB
+    model = Model(ModelConfig(task="depth"), seed=0)
+    images = _images(rng, n=8, size=64)
+    gt = rng.uniform(1.0, 5.0, size=(8, 64 * 64)).astype(np.float32)
+    targets = {"depth": gt, "mask": np.ones_like(gt)}
+    tracemalloc.start()
+    try:
+        pred = model.train_outputs(images)[PRED_KEY["depth"]]
+        loss, _ = total_loss("depth", pred, targets, LossConfig(), (64, 64))
+        del pred
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert loss.requires_grad and held <= 20e6
 
 
 def test_load_missing_and_mismatched_parameter(tmp_path):

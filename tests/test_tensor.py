@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from pmx import precision
+from pmx import tensor as tensor_mod
 from pmx.errors import ContractError, ShapeError
 from pmx.rng import SplitMix64
-from pmx.tensor import Tensor, bias_add, no_grad, one_hot, parameter
+from pmx.tensor import Tensor, _Node, bias_add, no_grad, one_hot, parameter
 
 from gradcheck import gradcheck
 
@@ -338,9 +339,28 @@ def test_grad_accumulates_over_reuse():
 def _copying_accum(self, g, owned=False):
     # oracle: the accumulation before ops could hand over their own arrays
     if self.grad is None:
-        self.grad = g.astype(self.data.dtype, copy=True)
+        self.grad = g.astype(self.dtype, copy=True)
     else:
         self.grad += g
+
+
+def _copy_every_gradient(monkeypatch):
+    for kind in (_Node, Tensor):  # op outputs' nodes and leaves
+        monkeypatch.setattr(kind, "_accum", _copying_accum)
+
+
+def _op_outputs(monkeypatch):
+    """A list that collects a weakref to the array of every op output made
+    from here on, in the order the ops ran."""
+    refs = []
+    result = tensor_mod._result
+
+    def recording(*args):
+        out = result(*args)
+        refs.append(weakref.ref(out.data))
+        return out
+    monkeypatch.setattr(tensor_mod, "_result", recording)
+    return refs
 
 
 def _graph(root):
@@ -365,11 +385,18 @@ def _conv_fan_out():
     return (x, w1, w2, b1, b2), loss
 
 
+def test_conv_fan_out_graph_node_count_is_pinned():
+    # one node per recorded op plus its leaves and constants, as the
+    # benchmark's tensor.graph_nodes counts them by walking _parents
+    _, loss = _conv_fan_out()
+    assert len(_graph(loss)) == 21
+
+
 def test_owned_gradients_are_bit_identical_to_copies(monkeypatch):
     leaves, loss = _conv_fan_out()
     loss.backward()
     got = [t.grad for t in leaves]
-    monkeypatch.setattr(Tensor, "_accum", _copying_accum)
+    _copy_every_gradient(monkeypatch)
     leaves, loss = _conv_fan_out()
     loss.backward()
     for g, t in zip(got, leaves):
@@ -385,15 +412,38 @@ def test_no_two_gradients_share_memory(made_grads):
             assert not np.shares_memory(a, b)
 
 
-def test_backward_frees_interior_activations():
+def test_backward_frees_interior_activations(monkeypatch):
+    made = _op_outputs(monkeypatch)
     leaves, loss = _conv_fan_out()
-    interior = [weakref.ref(t.data) for t in _graph(loss) if t._backfn is not None]
+    interior = made[::-1]   # newest first
     assert len(interior) > 10
+    assert any(r() is not None for r in interior[1:])   # closures still hold some
     loss.backward()
     assert [r for r in interior[1:] if r() is not None] == []   # [0] is the loss's own
     assert loss.grad is None and loss._parents is None
     for t in leaves:
         assert t.grad is not None and np.all(np.isfinite(t.grad))
+
+
+def _conv_relu_conv():
+    x = parameter(_n(70, 2, 3, 8, 8))
+    w1, w2 = parameter(_n(71, 4, 3, 3, 3)), parameter(_n(72, 5, 4, 3, 3))
+    b1, b2 = parameter(_n(73, 4)), parameter(_n(74, 5))
+    return (x, w1, w2, b1, b2), x.conv2d(w1, b1).relu().conv2d(w2, b2)
+
+
+def test_op_outputs_no_backward_reads_are_freed_in_the_forward(monkeypatch):
+    made = _op_outputs(monkeypatch)
+    leaves, y = _conv_relu_conv()
+    first_conv, relu, _ = made
+    assert first_conv() is None and relu() is None
+    (y * y).sum().backward()
+    got = [t.grad for t in leaves]
+    _copy_every_gradient(monkeypatch)
+    leaves, y = _conv_relu_conv()
+    (y * y).sum().backward()
+    for g, t in zip(got, leaves):
+        assert g.dtype == t.grad.dtype and np.array_equal(g, t.grad)
 
 
 def test_second_backward_on_a_graph_raises():
