@@ -6,8 +6,10 @@ corrupt files, diverged training, incompatible checkpoints), 2 usage error
 (bad flags, contract violations in the request itself).
 
 Defaults are aligned so `pmx generate && pmx train && pmx eval` works with
-no flags.  Setting the environment variable PMX_VERIFY=1 switches every
-tensor to 64-bit and enables per-op finiteness assertions.
+no flags.  A subcommand runs in float32; the 64-bit mode with per-op
+finiteness assertions is ``pmx.precision.verify()``, for library callers.
+Numpy's floating-point warnings are silenced for the subcommand, so a
+diverging run reports its one error line and nothing else.
 """
 
 from __future__ import annotations
@@ -294,7 +296,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     pin_heap_thresholds()
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

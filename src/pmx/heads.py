@@ -65,13 +65,6 @@ def upsample_rows(rows: Tensor, grid: Tuple[int, int]) -> Tensor:
     return upsample_planes(rows, grid).transpose_last2()
 
 
-def seg_predict(p: Tensor, classes: int) -> np.ndarray:
-    """Per-pixel argmax class; ties go to the lowest index.  K must equal C."""
-    if p.shape[-1] != classes:
-        raise ContractError(f"segmentation needs K = C: K={p.shape[-1]}, C={classes}")
-    return p.data.argmax(axis=-1)
-
-
 def bins_from_logits(logits: Tensor, d_min: float, d_max: float) -> Tuple[Tensor, Tensor]:
     """Adaptive bin centers from per-query scalars.
 

@@ -8,10 +8,11 @@ Two head families share the same convolutional encoder-decoder:
   baseline  per-pixel regression: one linear map straight from F, no
             queries, no clusters.
 
-Checkpoints store every parameter under its name, model shape under
-``meta/`` entries, and (when given) optimizer state under ``opt/`` and the
-training settings a resume must share under ``train/``, so a file alone
-reconstructs the model.
+The network's sizes are the constants ``D``, ``N_DEC`` and ``WIDTHS``; the
+cluster count K is the one size a run chooses.  Checkpoints store every
+parameter under its name, the model config under ``meta/`` entries, and
+(when given) optimizer state under ``opt/`` and the training settings a
+resume must share under ``train/``, so a file alone reconstructs the model.
 """
 
 from __future__ import annotations
@@ -32,15 +33,15 @@ TASKS = ("seg", "depth", "normal")
 VARIANTS = ("kmeans", "standard")
 HEAD_KINDS = ("cluster", "baseline")
 PRED_KEY = {"seg": "logits", "depth": "depth", "normal": "normal"}
+D = 64                    # embedding width of F and Q
+N_DEC = 2                 # transformer decoder blocks
+WIDTHS = (32, 64, 64)     # encoder stem, stage1 and stage2 channels
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     task: str
     k: int = 4
-    d: int = 64
-    n_dec: int = 2
-    widths: Tuple[int, int, int] = (32, 64, 64)
     variant: str = "kmeans"
     head: str = "cluster"
     classes: int = 4
@@ -56,9 +57,8 @@ class ModelConfig:
         if self.task == "seg" and self.head == "cluster" and self.k != self.classes:
             raise ContractError(
                 f"segmentation requires K = C (one query per class): K={self.k}, C={self.classes}")
-        sizes = dict(k=self.k, d=self.d, n_dec=self.n_dec, classes=self.classes)
-        if len(self.widths) != 3 or min(*sizes.values(), *self.widths) < 1:
-            raise ContractError(f"sizes {sizes} and the three widths {self.widths} must be >= 1")
+        if min(self.k, self.classes) < 1:
+            raise ContractError(f"K={self.k} and C={self.classes} must be >= 1")
         if not 0 < self.d_min < self.d_max < math.inf:
             raise ContractError(f"depth range [{self.d_min}, {self.d_max}] invalid")
 
@@ -69,14 +69,14 @@ def _modules(cfg: ModelConfig, p: Params, hp: Params):
     its parameters made through hp; both record into one dict."""
     cfg.validate()
     if cfg.head == "baseline":
-        return (Encoder(p.sub("enc/"), cfg.widths, cfg.d),
-                heads.BaselineHead(hp.sub("head/baseline."), cfg.d, cfg.task, cfg.classes,
+        return (Encoder(p.sub("enc/"), WIDTHS, D),
+                heads.BaselineHead(hp.sub("head/baseline."), D, cfg.task, cfg.classes,
                                    cfg.d_min, cfg.d_max))
-    trunk = Backbone(p, cfg.widths, cfg.d, cfg.n_dec, cfg.k, cfg.variant)
+    trunk = Backbone(p, WIDTHS, D, N_DEC, cfg.k, cfg.variant)
     if cfg.task == "depth":
-        return trunk, heads.BinsHead(hp.sub("head/bins."), cfg.d)
+        return trunk, heads.BinsHead(hp.sub("head/bins."), D)
     if cfg.task == "normal":
-        return trunk, heads.NormalHead(hp.sub("head/normal."), cfg.d)
+        return trunk, heads.NormalHead(hp.sub("head/normal."), D)
     return trunk, None
 
 
@@ -121,15 +121,13 @@ class Model:
 
     def predict(self, images: Tensor) -> np.ndarray:
         """Numpy predictions, no graph.  seg: (B, H, W) class ids, the argmax
-        of the upsampled probability map (cluster head) or of the upsampled
-        logits (baseline); depth: (B, H, W) meters; normal: (B, H, W, 3) unit
-        vectors."""
+        of the upsampled probability map (cluster head, K = C; ties go to the
+        lowest index) or of the upsampled logits (baseline); depth: (B, H, W)
+        meters; normal: (B, H, W, 3) unit vectors."""
+        if self.cfg.task == "seg" and self.cfg.head == "cluster":
+            return self.probability_panels(images).argmax(axis=1)
         bsz, _, h, w = images.shape
         with no_grad():
-            if self.cfg.task == "seg" and self.cfg.head == "cluster":
-                f, q, grid = self._features(images)
-                p_full = heads.upsample_rows(heads.probability_map(f, q), grid)
-                return heads.seg_predict(p_full, self.cfg.classes).reshape(bsz, h, w)
             out = self.train_outputs(images)[PRED_KEY[self.cfg.task]].data
         if self.cfg.task == "seg":
             out = out.argmax(axis=-1)
@@ -170,10 +168,7 @@ def _meta_tensors(cfg: ModelConfig) -> Dict[str, np.ndarray]:
         "meta/head": np.float32(HEAD_KINDS.index(cfg.head)),
         "meta/variant": np.float32(VARIANTS.index(cfg.variant)),
         "meta/k": np.float32(cfg.k),
-        "meta/d": np.float32(cfg.d),
-        "meta/n_dec": np.float32(cfg.n_dec),
         "meta/classes": np.float32(cfg.classes),
-        "meta/widths": np.asarray(cfg.widths, dtype=np.float32),
         "meta/drange": np.asarray([cfg.d_min, cfg.d_max], dtype=np.float32),
     }
 
@@ -192,28 +187,27 @@ def _choice(tensors: Dict[str, np.ndarray], key: str, choices: Tuple[str, ...]) 
     return choices[int(value)]
 
 
-def _counts(tensors: Dict[str, np.ndarray], key: str, n: int = 1) -> List[int]:
-    values = _values(tensors, key, n)
-    if not all(v.is_integer() and v >= 1 for v in values):
-        shown = ", ".join(f"{v:g}" for v in values)
-        raise ContractError(f"checkpoint {key} = {shown}: counts must be positive integers")
-    return [int(v) for v in values]
+def _count(tensors: Dict[str, np.ndarray], key: str) -> int:
+    value = _values(tensors, key, 1)[0]
+    if not (value.is_integer() and value >= 1):
+        raise ContractError(f"checkpoint {key} = {value:g}: a count must be a positive integer")
+    return int(value)
 
 
 def config_from_meta(tensors: Dict[str, np.ndarray]) -> ModelConfig:
     """The ModelConfig a checkpoint's ``meta/`` entries describe; any missing
-    or malformed entry raises ContractError."""
+    or malformed entry raises ContractError.  The ``meta/d``, ``meta/n_dec``
+    and ``meta/widths`` entries that older files hold are not read: the
+    sizes are constants, and a parameter of another size fails its shape
+    check in ``Params``."""
     try:
         d_min, d_max = _values(tensors, "meta/drange", 2)
         cfg = ModelConfig(
             task=_choice(tensors, "meta/task", TASKS),
             head=_choice(tensors, "meta/head", HEAD_KINDS),
             variant=_choice(tensors, "meta/variant", VARIANTS),
-            k=_counts(tensors, "meta/k")[0],
-            d=_counts(tensors, "meta/d")[0],
-            n_dec=_counts(tensors, "meta/n_dec")[0],
-            classes=_counts(tensors, "meta/classes")[0],
-            widths=tuple(_counts(tensors, "meta/widths", 3)),
+            k=_count(tensors, "meta/k"),
+            classes=_count(tensors, "meta/classes"),
             d_min=d_min,
             d_max=d_max,
         )

@@ -1,19 +1,17 @@
 """Global compute-precision switch.
 
 Training runs in float32.  Verification (finite-difference gradient checks,
-metric oracles) runs in float64 with debug assertions on; enable it
-process-wide with the environment variable ``PMX_VERIFY=1`` or locally with
-the :func:`verify` context manager.
+metric oracles) runs in float64 with debug assertions on, inside the
+:func:`verify` context manager.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 
 import numpy as np
 
-_verify = os.environ.get("PMX_VERIFY") == "1"
+_verify = False
 
 
 def dtype() -> type:

@@ -37,6 +37,7 @@ never enter the graph.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -642,17 +643,11 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
         raise ShapeError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
 
 
-_interp_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _interp_matrix(n: int, dtype) -> np.ndarray:
-    """(2n, n) row-stochastic matrix for 2x bilinear upsampling with
-    align_corners=False: output i samples input coordinate (i+0.5)/2 - 0.5,
-    clamped to the edges."""
-    key = (n, np.dtype(dtype).str)
-    hit = _interp_cache.get(key)
-    if hit is not None:
-        return hit
+    """Read-only (2n, n) row-stochastic matrix for 2x bilinear upsampling
+    with align_corners=False: output i samples input coordinate
+    (i+0.5)/2 - 0.5, clamped to the edges."""
     mat = np.zeros((2 * n, n), dtype=dtype)
     for i in range(2 * n):
         src = (i + 0.5) / 2.0 - 0.5
@@ -660,7 +655,7 @@ def _interp_matrix(n: int, dtype) -> np.ndarray:
         t = src - i0
         mat[i, min(max(i0, 0), n - 1)] += 1.0 - t
         mat[i, min(max(i0 + 1, 0), n - 1)] += t
-    _interp_cache[key] = mat
+    mat.flags.writeable = False
     return mat
 
 

@@ -6,6 +6,8 @@ import json
 import os
 import platform
 import struct
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -146,6 +148,24 @@ def test_train_zero_size_dataset_is_one_line_runtime_error(tmp_path, capsys):
     assert _single_line_error(capsys)
 
 
+@pytest.mark.parametrize("verify_env", [None, "1"], ids=["plain", "PMX_VERIFY=1"])
+def test_diverging_train_is_one_line_runtime_error(data, tmp_path, verify_env):
+    # a separate process, so numpy's warnings reach stderr as they would for
+    # a user; PMX_VERIFY is not a switch, so it changes nothing
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    env.pop("PMX_VERIFY", None)
+    if verify_env is not None:
+        env["PMX_VERIFY"] = verify_env
+    run = subprocess.run(
+        [sys.executable, "-m", "pmx.cli", "train", "--task", "depth", "--data", data,
+         "--steps", "3", "--batch", "4", "--lr", "1e12", "--no-clip",
+         "--out", str(tmp_path / "m.pmxc")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stderr
+    assert _is_one_error_line(run.stderr), run.stderr
+    assert "loss nan" in run.stderr
+
+
 def test_train_resume_of_a_different_model_is_one_line_runtime_error(data, depth_ckpt,
                                                                      tmp_path, capsys):
     out = tmp_path / "m.pmxc"
@@ -243,7 +263,10 @@ def test_eval_missing_checkpoint_is_runtime_error(data, tmp_path):
 
 
 def _single_line_error(capsys):
-    err = capsys.readouterr().err
+    return _is_one_error_line(capsys.readouterr().err)
+
+
+def _is_one_error_line(err):
     return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
@@ -314,8 +337,8 @@ def test_eval_out_of_range_meta_index_is_one_line_runtime_error(data, depth_ckpt
 
 @pytest.mark.parametrize("key,value", [
     ("meta/k", np.float32("nan")),
-    ("meta/widths", np.asarray([32, 64], dtype=np.float32)),
-    ("meta/d", np.float32(0)),
+    ("meta/classes", np.asarray([4, 4], dtype=np.float32)),
+    ("meta/classes", np.float32(0)),
 ])
 def test_eval_malformed_meta_count_is_one_line_runtime_error(data, depth_ckpt, tmp_path,
                                                              capsys, key, value):
@@ -327,14 +350,17 @@ def test_eval_malformed_meta_count_is_one_line_runtime_error(data, depth_ckpt, t
     assert _single_line_error(capsys)
 
 
-def test_eval_forged_meta_widths_is_one_line_runtime_error(data, depth_ckpt, tmp_path, capsys):
-    # checksum-valid; the entries still hold the (32, 64, 64) encoder
+def test_eval_parameter_of_another_size_is_one_line_runtime_error(data, depth_ckpt, tmp_path,
+                                                                   capsys):
+    # checksum-valid; the stem holds 16 filters where the network has 32
     tensors = read_checkpoint(depth_ckpt)
-    tensors["meta/widths"] = np.asarray([32, 64, 4096], dtype=np.float32)
-    path = str(tmp_path / "forged_widths.pmxc")
+    tensors["enc/stem1.w"] = np.zeros((16, 3, 3, 3), dtype=np.float32)
+    path = str(tmp_path / "stem16.pmxc")
     write_checkpoint(path, tensors)
+    capsys.readouterr()
     assert main(["eval", "--task", "depth", "--data", data, "--ckpt", path]) == 1
-    assert _single_line_error(capsys)
+    err = capsys.readouterr().err
+    assert _is_one_error_line(err) and "enc/stem1.w" in err
 
 
 @pytest.mark.parametrize("name", ["enc/extra.w", "head/normal.fc1.w", "dec/block2.ln1.g"])

@@ -7,7 +7,7 @@ import pytest
 
 from pmx import precision
 from pmx.backbone import Params
-from pmx.errors import ContractError, ShapeError
+from pmx.errors import ShapeError
 from pmx.heads import (
     BaselineHead,
     BinsHead,
@@ -16,7 +16,6 @@ from pmx.heads import (
     depth_compose,
     normal_compose,
     probability_map,
-    seg_predict,
     upsample_planes,
     upsample_rows,
 )
@@ -71,27 +70,12 @@ def test_upsample_rows_rejects_bad_grid():
 # ---- segmentation ---------------------------------------------------------------
 
 
-def test_seg_predict_one_hot_rows():
-    p = Tensor(np.eye(4)[[2, 0, 3, 3, 1]])
-    np.testing.assert_array_equal(seg_predict(p, 4), [2, 0, 3, 3, 1])
-
-
-def test_seg_predict_matches_raw_logit_argmax():
+def test_probability_map_argmax_matches_raw_logit_argmax():
     f = Tensor(_n(11, 100, 8))
     q = Tensor(_n(12, 4, 8))
     logits = f.matmul(q.transpose_last2())
-    p = logits.softmax(axis=-1)
-    np.testing.assert_array_equal(seg_predict(p, 4), logits.data.argmax(-1))
-
-
-def test_seg_predict_tie_takes_lowest_index():
-    p = Tensor(np.array([[0.1, 0.4, 0.1, 0.4]]))
-    assert seg_predict(p, 4)[0] == 1
-
-
-def test_seg_predict_enforces_k_equals_c():
-    with pytest.raises(ContractError):
-        seg_predict(Tensor(np.full((2, 5), 0.2)), 4)
+    np.testing.assert_array_equal(probability_map(f, q).data.argmax(-1),
+                                  logits.data.argmax(-1))
 
 
 # ---- depth bins ------------------------------------------------------------------

@@ -13,7 +13,7 @@ from pmx.losses import LossConfig, total_loss
 from pmx.model import (PRED_KEY, Model, ModelConfig, config_from_meta, load_model,
                        save_model)
 from pmx.rng import SplitMix64
-from pmx.tensor import Tensor
+from pmx.tensor import Tensor, _Node
 
 
 def _images(rng, n=2, size=16):
@@ -69,6 +69,19 @@ def test_probability_panels_cluster_only(rng):
         baseline.probability_panels(_images(rng))
 
 
+def test_seg_predict_is_the_probability_map_argmax_and_ties_take_the_lowest_index(rng):
+    model = Model(ModelConfig(task="seg"), seed=0)
+    images = _images(rng)
+    np.testing.assert_array_equal(model.predict(images),
+                                  model.probability_panels(images).argmax(axis=1))
+    # F = 0 makes every logit 0, so the K panels tie at every pixel
+    for name in ("enc/out.w", "enc/out.b"):
+        model.params()[name].data[...] = 0.0
+    panels = model.probability_panels(images)
+    assert np.all(panels == panels[:, :1])
+    assert not model.predict(images).any()
+
+
 def test_bin_centers_depth_only(rng):
     model = Model(ModelConfig(task="depth"), seed=0)
     b = model.bin_centers(_images(rng))
@@ -85,8 +98,7 @@ def test_bin_centers_depth_only(rng):
 
 def test_save_load_roundtrip_bitexact(tmp_path, rng):
     path = str(tmp_path / "model.pmxc")
-    cfg = ModelConfig(task="depth", k=8, d=32, n_dec=3, widths=(16, 32, 32),
-                      variant="standard", d_min=1.0, d_max=8.0)
+    cfg = ModelConfig(task="depth", k=8, variant="standard", d_min=1.0, d_max=8.0)
     model = Model(cfg, seed=7)
     save_model(path, model)
     loaded, opt = load_model(path)
@@ -158,13 +170,23 @@ def test_training_step_gradients_share_no_memory(rng, made_grads):
 
 def test_training_step_backward_leaves_only_leaves(rng):
     model, loss = _normal_step_loss(rng)
-    loss.backward()
-    stack = [loss]
+    # walk the graph before backward() drops the parents it is walked by
+    nodes, stack = {}, [loss._node]
     while stack:
         node = stack.pop()
-        assert node._backfn is None
-        stack.extend(node._parents or ())
-    for name, p in model.params().items():
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    interior = [n for n in nodes.values() if isinstance(n, _Node)]
+    params = model.params()
+    assert len(interior) > 50 and {id(p) for p in params.values()} <= set(nodes)
+    loss.backward()
+    for node in interior:
+        assert node._backfn is None and node._parents is None and node.grad is None
+    for node in nodes.values():
+        if isinstance(node, Tensor):
+            assert node._parents == ()
+    for name, p in params.items():
         assert p.grad is not None and np.all(np.isfinite(p.grad)), name
 
 
@@ -204,10 +226,17 @@ def test_load_missing_and_mismatched_parameter(tmp_path):
 
 
 # CRC-32 of each saved body (the file minus its 8-byte trailer, which holds
-# that same CRC, so a whole file's CRC-32 is one constant residue), taken
-# before parameters were made through backbone.Params: any change to a
-# parameter's name, shape, init or draw order changes the bytes.
+# that same CRC, so a whole file's CRC-32 is one constant residue): any
+# change to a parameter's name, shape, init or draw order changes the bytes.
 GOLDEN_CRC = {
+    ("seg", "cluster", "kmeans"): 0x1530DC92,
+    ("depth", "cluster", "standard"): 0x93797B4F,
+    ("normal", "baseline", "kmeans"): 0x70B0ECB6,
+}
+# The same bodies as written while the network's sizes were stored too, as
+# meta/d, meta/n_dec and meta/widths; taken before parameters were made
+# through backbone.Params.
+SIZE_ENTRY_CRC = {
     ("seg", "cluster", "kmeans"): 0x01BC54DF,
     ("depth", "cluster", "standard"): 0xF52E6BB9,
     ("normal", "baseline", "kmeans"): 0xC8797579,
@@ -223,6 +252,27 @@ def test_saved_parameters_match_golden_crc(tmp_path, task, head, variant):
     assert zlib.crc32(body) == GOLDEN_CRC[task, head, variant]
 
 
+@pytest.mark.parametrize("task,head,variant", sorted(SIZE_ENTRY_CRC))
+def test_old_size_entries_are_ignored_on_load(tmp_path, rng, task, head, variant):
+    # a file as the writer that stored the sizes made it, byte for byte
+    path = str(tmp_path / "sized.pmxc")
+    model = Model(ModelConfig(task=task, head=head, variant=variant), seed=11)
+    save_model(path, model)
+    tensors = read_checkpoint(path)
+    tensors.update({"meta/d": np.float32(64), "meta/n_dec": np.float32(2),
+                    "meta/widths": np.asarray([32, 64, 64], dtype=np.float32)})
+    write_checkpoint(path, tensors)
+    with open(path, "rb") as fh:
+        assert zlib.crc32(fh.read()[:-8]) == SIZE_ENTRY_CRC[task, head, variant]
+    loaded, opt = load_model(path)
+    assert loaded.cfg == model.cfg and opt == {}
+    assert list(loaded.params()) == list(model.params())
+    for name, p in model.params().items():
+        np.testing.assert_array_equal(loaded.params()[name].data, p.data)
+    images = _images(rng)
+    np.testing.assert_array_equal(loaded.predict(images), model.predict(images))
+
+
 def test_checkpoint_without_metadata_rejected(tmp_path):
     path = str(tmp_path / "stray.pmxc")
     write_checkpoint(path, {"weights": np.zeros(3, dtype=np.float32)})
@@ -232,8 +282,7 @@ def test_checkpoint_without_metadata_rejected(tmp_path):
 
 def test_config_from_meta_roundtrips_nondefaults():
     cfg = ModelConfig(task="normal", head="baseline", variant="standard",
-                      k=16, d=48, n_dec=1, classes=4, widths=(8, 16, 24),
-                      d_min=0.25, d_max=64.0)
+                      k=16, classes=4, d_min=0.25, d_max=64.0)
     model = Model(cfg, seed=0)
     from pmx.model import _meta_tensors
     assert config_from_meta(_meta_tensors(cfg)) == cfg
@@ -252,11 +301,9 @@ def test_config_from_meta_rejects_bad_indices(key, value):
 @pytest.mark.parametrize("key,value", [
     ("meta/k", np.float32("nan")),
     ("meta/k", np.zeros(2, dtype=np.float32)),
-    ("meta/d", np.float32(0)),
-    ("meta/n_dec", np.float32(0.5)),
+    ("meta/classes", np.float32(0.5)),
+    ("meta/classes", np.float32(0)),
     ("meta/classes", np.float32(-1)),
-    ("meta/widths", np.asarray([32, 64], dtype=np.float32)),
-    ("meta/widths", np.asarray([32, 0, 64], dtype=np.float32)),
 ])
 def test_config_from_meta_rejects_bad_counts(key, value):
     from pmx.model import _meta_tensors
@@ -277,9 +324,9 @@ def test_config_from_meta_rejects_bad_depth_range(drange):
 
 
 @pytest.mark.parametrize("bad", [
-    ModelConfig(task="depth", d=0),
+    ModelConfig(task="depth", k=0),
     ModelConfig(task="depth", classes=0),
-    ModelConfig(task="depth", widths=(32, 64)),
+    ModelConfig(task="depth", d_min=0.0),
     ModelConfig(task="depth", d_min=2.0, d_max=1.0),
 ])
 def test_config_rejects_bad_sizes_and_depth_range(bad):
@@ -288,15 +335,8 @@ def test_config_rejects_bad_sizes_and_depth_range(bad):
 
 
 @pytest.mark.parametrize("task,head,key,value", [
-    ("depth", "cluster", "meta/widths", [32, 64, 4096]),
-    ("depth", "cluster", "meta/widths", [16, 64, 64]),
-    ("depth", "cluster", "meta/widths", [32, 48, 64]),
-    ("depth", "cluster", "meta/d", 4096),
     ("depth", "cluster", "meta/k", 4096),
-    ("depth", "cluster", "meta/n_dec", 64),
-    ("depth", "cluster", "meta/n_dec", 1),
     ("seg", "baseline", "meta/classes", 10**6),
-    ("normal", "baseline", "meta/d", 4096),
 ])
 def test_forged_meta_dimension_fails_before_any_model_is_built(tmp_path, monkeypatch,
                                                                 task, head, key, value):
@@ -312,6 +352,32 @@ def test_forged_meta_dimension_fails_before_any_model_is_built(tmp_path, monkeyp
 
     monkeypatch.setattr(model_mod, "Model", no_model)
     with pytest.raises(ContractError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("task,head,size,value", [
+    ("depth", "cluster", "WIDTHS", (16, 64, 64)),
+    ("depth", "cluster", "WIDTHS", (32, 48, 64)),
+    ("depth", "cluster", "D", 48),
+    ("depth", "cluster", "N_DEC", 1),
+    ("depth", "cluster", "N_DEC", 3),
+    ("normal", "baseline", "D", 48),
+], ids=["stem16", "stage48", "d48", "ndec1", "ndec3", "baseline-d48"])
+def test_another_size_is_refused_before_a_model_is_built(tmp_path, monkeypatch,
+                                                         task, head, size, value):
+    # the file a network with one size changed writes; its meta/ entries are
+    # the same as the constant network's
+    import pmx.model as model_mod
+    path = str(tmp_path / "resized.pmxc")
+    with monkeypatch.context() as m:
+        m.setattr(model_mod, size, value)
+        save_model(path, Model(ModelConfig(task=task, head=head), seed=0))
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("a Model was built from a network of another size")
+
+    monkeypatch.setattr(model_mod, "Model", no_model)
+    with pytest.raises(ContractError, match="checkpoint (parameter|entry) "):
         load_model(path)
 
 
@@ -400,13 +466,12 @@ def _forged(saved, block, gen):
 @pytest.mark.parametrize("seed,task,head", [(1, "seg", "cluster"), (2, "depth", "cluster"),
                                             (3, "normal", "baseline")])
 def test_seeded_forgeries_load_or_fail_with_a_contract_error(tmp_path, seed, task, head):
-    small = dict(d=8, widths=(4, 8, 8))
     path = str(tmp_path / "forged.pmxc")
-    save_model(path, Model(ModelConfig(task=task, head=head, **small), seed=0),
+    save_model(path, Model(ModelConfig(task=task, head=head), seed=0),
                {"step": np.float32(2)}, {"lr": [5e-4]})
     saved = read_checkpoint(path)
     block = {n.split(".", 1)[1]: p.data for n, p in
-             Model(ModelConfig(task="depth", **small), seed=0).params().items()
+             Model(ModelConfig(task="depth"), seed=0).params().items()
              if n.startswith("dec/block0.")}
     gen = SplitMix64(seed)
     seen, wrong = set(), []
