@@ -10,8 +10,10 @@ body with the upper 32 bits zero; in version 1, still read, FNV-1a 64.  Two
 writes of the same content are byte-identical, and any flipped byte is
 detected on read (CRC-32 catches every error burst of up to 32 bits).  Both
 formats are little-endian and written atomically (temp file in the same
-directory, then rename) from streamed parts, holding no copy of the file; a
-dataset read holds one copy, its samples.
+directory, then rename).  A write streams its parts, the header fields and
+the arrays' own buffers, straight to ``os.writev`` in batches of at most
+SC_IOV_MAX, holding no copy of the file; a dataset read holds one copy, its
+samples.
 
 A dataset may carry a sidecar manifest: UTF-8 JSON at ``path + ".json"``
 recording the generator seed, the scene configuration, class names, and
@@ -63,11 +65,36 @@ def fnv1a64(data: bytes) -> int:
 _CHECKSUMS = {1: fnv1a64, 2: zlib.crc32}
 
 
+_IOV_MAX = os.sysconf("SC_IOV_MAX")  # buffers one os.writev call takes
+
+
+def _write_all(fd: int, bufs: List) -> None:
+    """Write every byte of ``bufs`` with os.writev, resuming short writes."""
+    while bufs:
+        n = os.writev(fd, bufs)
+        for i, buf in enumerate(bufs):  # skip the buffers written whole
+            size = memoryview(buf).nbytes
+            if n < size:
+                break
+            n -= size
+        else:
+            return
+        bufs = [memoryview(bufs[i]).cast("B")[n:], *bufs[i + 1:]]
+
+
 def _atomic_write(path: str, parts: Iterable) -> None:
+    """Write the buffers ``parts`` to a temp file beside ``path``, then
+    rename it over ``path``.  Parts are taken lazily, _IOV_MAX per writev
+    call, so no copy of the file is held; an OSError names ``path``."""
     tmp = f"{path}.tmp.{os.getpid()}"
+    parts = iter(parts)
     try:
-        with open(tmp, "wb") as fh:
-            fh.writelines(parts)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            while batch := list(itertools.islice(parts, _IOV_MAX)):
+                _write_all(fd, batch)
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc

@@ -14,13 +14,22 @@ albedo with the fixed unit light direction LIGHT, plus Gaussian pixel noise
 of std NOISE_STD.  These settings are constants; SceneConfig holds only the
 image size.
 
-Casting works on whole images.  The rays of each image size are built
-once and kept read-only, both as ``(h, w, 3)`` directions and as three
-``(h, w)`` x/y/z planes, so every intersection is elementwise arithmetic on
-planes.  A running z-buffer then visits the hits in a fixed order (wall,
-floor, spheres, boxes) and lets a hit take a pixel only when its t is
-strictly smaller than the best so far.  Of equal hits the first in that
-order wins, so a box face lying in the wall plane stays wall.
+Casting works on planes of pixels.  The rays of each image size are
+built once and kept read-only, both as ``(h, w, 3)`` directions and as
+three ``(h, w)`` x/y/z planes, so every intersection is elementwise
+arithmetic on planes.  The same cache holds that size's empty room: the
+mask of pixels where the floor is nearer than the wall, and the t of that
+hit.  A running z-buffer starts from the room, visits the spheres and then
+the boxes, and lets a hit take a pixel only when its t is strictly smaller
+than the best so far.  Of equal hits the first in the order wall, floor,
+spheres, boxes wins, so a box face lying in the wall plane stays wall.
+Each primitive is intersected and merged only inside its footprint: the
+pixels whose centres its axis-aligned bounds project to, plus a pixel of
+margin.  Bounds that reach the camera plane (the camera inside a
+primitive, or one straddling or behind it) take the whole image.  Every
+pixel a footprint leaves out is a ray that misses the primitive, so the
+output is the same, bit for bit, as casting each primitive over the whole
+image.
 
 Everything is a pure function of (seed, index, size), so any sample can
 be regenerated alone, in any order, bit-identically.
@@ -61,6 +70,8 @@ D_MIN, D_MAX = 0.5, 10.0              # depth range; the back wall stands at D_M
 MAX_SIZE = 65535                      # the dataset header stores H and W as u16
 
 _EPS_T = 1e-6
+_EPS_Z = 1e-6  # bounds reaching this near the camera plane are cast over the whole image
+_MARGIN = 1    # pixels added around each footprint for rounding in the projection
 
 
 @dataclass(frozen=True)
@@ -103,11 +114,16 @@ class Scene:
 # ---- camera and vectorized casting -------------------------------------------
 
 
+def _focal(h: int) -> float:
+    """Focal length in pixels: the 60 degree vertical FOV spans h pixels."""
+    return (h / 2.0) / math.tan(math.radians(30.0))
+
+
 def camera_rays(h: int, w: int) -> np.ndarray:
     """(h, w, 3) unit ray directions for pixel centers.  Camera at the
     origin, +z forward, +y up; the vertical FOV spans exactly 60 degrees
     between the top and bottom pixel edges."""
-    f = (h / 2.0) / math.tan(math.radians(30.0))
+    f = _focal(h)
     xs = (np.arange(w, dtype=np.float64) + 0.5) - w / 2.0
     ys = -((np.arange(h, dtype=np.float64) + 0.5) - h / 2.0)
     dirs = np.empty((h, w, 3), dtype=np.float64)
@@ -119,24 +135,55 @@ def camera_rays(h: int, w: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _ray_planes(h: int, w: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ray_planes(h: int, w: int) -> Tuple[np.ndarray, ...]:
     """Read-only rays for one image size, built once: the ``(h, w, 3)``
-    directions, their ``(3, h, w)`` x/y/z planes, and the planes with
+    directions, their ``(3, h, w)`` x/y/z planes, the planes with
     components below 1e-12 in magnitude replaced by 1e-12 (the box slab
-    divisors; the planes themselves unless a size is odd)."""
+    divisors; the planes themselves unless a size is odd), and the empty
+    room: the ``(h, w)`` mask of rays that hit the floor before the wall,
+    and the t of that nearer hit."""
     dirs = camera_rays(h, w)
     planes = np.ascontiguousarray(dirs.transpose(2, 0, 1))
     tiny = np.abs(planes) < 1e-12
     slab = np.where(tiny, 1e-12, planes) if tiny.any() else planes
-    for arr in (dirs, planes, slab):
+    t_wall = D_MAX / planes[2]
+    with np.errstate(divide="ignore"):
+        t_floor = np.where(planes[1] < 0, -1.0 / planes[1], np.inf)
+    floor = t_floor < t_wall  # strict: of equal hits, the wall keeps the pixel
+    t_room = np.where(floor, t_floor, t_wall)
+    for arr in (dirs, planes, slab, floor, t_room):
         arr.flags.writeable = False
-    return dirs, planes, slab
+    return dirs, planes, slab, floor, t_room
 
 
-def _cast_sphere(dirs: np.ndarray, planes: np.ndarray, sph: Sphere):
-    """Nearest hit t (+inf on a miss) and the outward normal planes."""
+def _footprint(lo: np.ndarray, hi: np.ndarray, h: int, w: int) -> Tuple[slice, slice]:
+    """Rows and columns of the pixels whose rays can meet the axis-aligned
+    bounds [lo, hi]: those whose centres project inside the bounding
+    rectangle of the eight projected corners, widened by _MARGIN pixels for
+    rounding and clipped to the image.  Bounds that reach z <= _EPS_Z (the
+    camera inside, or a primitive straddling or behind the camera plane)
+    do not project, and get the whole image."""
+    (x0, y0, z0), (x1, y1, z1) = lo.tolist(), hi.tolist()
+    if z0 <= _EPS_Z:
+        return slice(0, h), slice(0, w)
+    f = _focal(h)
+    # pixel row i looks through y/z = (h/2 - 0.5 - i)/f and column j through
+    # x/z = (j + 0.5 - w/2)/f; clipping keeps huge quotients finite
+    rows = [min(max(h / 2.0 - 0.5 - f * y / z, -2.0), h + 2.0)
+            for y in (y0, y1) for z in (z0, z1)]
+    cols = [min(max(w / 2.0 - 0.5 + f * x / z, -2.0), w + 2.0)
+            for x in (x0, x1) for z in (z0, z1)]
+    return tuple(slice(max(0, math.ceil(min(v)) - _MARGIN),
+                       max(0, math.floor(max(v)) + 1 + _MARGIN)) for v in (rows, cols))
+
+
+def _cast_sphere(dirs: np.ndarray, planes: np.ndarray, sph: Sphere, win: Tuple[slice, slice]):
+    """Nearest hit t (+inf on a miss) and the outward normal planes over
+    the pixel window ``win``."""
     c, r = sph.center, sph.radius
-    b = 2.0 * (dirs @ (-c))
+    # the product runs over the whole image, then is cropped: BLAS may sum
+    # a sub-block in another order
+    b = 2.0 * (dirs @ (-c))[win]
     c0 = float(c @ c) - r * r
     disc = b * b - 4.0 * c0
     ok = disc >= 0
@@ -146,15 +193,17 @@ def _cast_sphere(dirs: np.ndarray, planes: np.ndarray, sph: Sphere):
     t = np.where(t0 > _EPS_T, t0, np.where(t1 > _EPS_T, t1, np.inf))
     t = np.where(ok, t, np.inf)
     tn = np.where(np.isfinite(t), t, 1.0)
-    n = [(tn * planes[k] - c[k]) / r for k in range(3)]
+    n = [(tn * planes[k][win] - c[k]) / r for k in range(3)]
     return t, n
 
 
-def _cast_box(slab: np.ndarray, box: Box):
+def _cast_box(slab: np.ndarray, box: Box, win: Tuple[slice, slice]):
     """Slab-method entry t (+inf on a miss) and the entry face's normal
-    planes; equal entry times go to the earlier axis, x then y then z.  A
-    box that contains the camera gives its exit t instead, with the normal
-    +sign(d) of the earliest axis that bounds the exit."""
+    planes over the pixel window ``win``; equal entry times go to the
+    earlier axis, x then y then z.  A box that contains the camera gives its
+    exit t instead, with the normal +sign(d) of the earliest axis that
+    bounds the exit."""
+    slab = slab[:, win[0], win[1]]
     t1 = box.bmin[:, None, None] / slab  # origin is 0
     t2 = box.bmax[:, None, None] / slab
     lo = np.minimum(t1, t2)
@@ -179,23 +228,33 @@ def _cast_box(slab: np.ndarray, box: Box):
 
 
 def cast_scene(scene: Scene, h: int, w: int):
-    """Analytic ground truth for every pixel: labels, depth, normal."""
-    dirs, planes, slab = _ray_planes(h, w)
-    dz = planes[2]
-    # the back wall z = D_MAX is always hit: the running z-buffer starts there
-    t_best = D_MAX / dz
-    n_best = (0.0, 0.0, -1.0)
-    labels = np.zeros((h, w), dtype=np.uint8)
-    with np.errstate(divide="ignore"):
-        t_floor = np.where(planes[1] < 0, -1.0 / planes[1], np.inf)
-    hits = [(1, t_floor, (0.0, 1.0, 0.0))]
-    hits += [(2, *_cast_sphere(dirs, planes, sph)) for sph in scene.spheres]
-    hits += [(3, *_cast_box(slab, box)) for box in scene.boxes]
-    for cls, t, n in hits:
-        closer = t < t_best  # strict: of equal hits, the first keeps the pixel
-        t_best = np.where(closer, t, t_best)
-        n_best = [np.where(closer, nk, bk) for nk, bk in zip(n, n_best)]
-        labels[closer] = cls
+    """Analytic ground truth for every pixel: labels, depth, normal.
+
+    The z-buffer starts from the empty room that ``_ray_planes`` keeps
+    with the rays of each size (the floor mask and the t of the wall or
+    floor hit; the normals follow from the mask).  Each sphere and box is
+    then intersected and merged only inside its footprint, the pixel
+    rectangle its bounds project to, or over the whole image when its
+    bounds reach the camera plane."""
+    dirs, planes, slab, floor, t_room = _ray_planes(h, w)
+    t_best = t_room.copy()
+    labels = floor.astype(np.uint8)  # class 1 on the floor, 0 on the wall
+    n_y = floor.astype(np.float64)
+    n_best = [np.zeros((h, w)), n_y, n_y - 1.0]  # floor (0, 1, 0), wall (0, 0, -1)
+    prims = [(2, sph, sph.center - sph.radius, sph.center + sph.radius) for sph in scene.spheres]
+    prims += [(3, box, box.bmin, box.bmax) for box in scene.boxes]
+    for cls, prim, lo, hi in prims:
+        win = _footprint(lo, hi, h, w)
+        if cls == 2:
+            t, n = _cast_sphere(dirs, planes, prim, win)
+        else:
+            t, n = _cast_box(slab, prim, win)
+        t_win = t_best[win]
+        closer = t < t_win  # strict: of equal hits, the first keeps the pixel
+        np.copyto(t_win, t, where=closer)
+        for bk, nk in zip(n_best, n):
+            np.copyto(bk[win], nk, where=closer)
+        labels[win][closer] = cls
     # orient toward the camera (exit hits of spheres face away); the dot
     # product sums x, y, z left to right, as numpy's sum over that axis does
     facing = (n_best[0] * planes[0] + n_best[1] * planes[1]) + n_best[2] * planes[2]
@@ -203,7 +262,7 @@ def cast_scene(scene: Scene, h: int, w: int):
     normal = np.empty((h, w, 3))
     for k, nk in enumerate(n_best):
         normal[:, :, k] = np.where(flip, -nk, nk)
-    depth = np.clip(t_best * dz, D_MIN, D_MAX)
+    depth = np.clip(t_best * planes[2], D_MIN, D_MAX)
     return labels, depth, normal
 
 

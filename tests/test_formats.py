@@ -9,6 +9,7 @@ import zlib
 import numpy as np
 import pytest
 
+from pmx import formats
 from pmx.errors import ContractError, CorruptionError, FormatError
 from pmx.formats import (
     CHECKPOINT_MAGIC,
@@ -303,6 +304,58 @@ def test_failed_write_names_the_path_not_the_temp_file(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+def _trickle(monkeypatch, iov_max, fail_at=None):
+    """Patch os.writev to write at most 7 bytes per call, raising ENOSPC on
+    call ``fail_at``, and the batch size to ``iov_max``; returns the number
+    of buffers each call was given."""
+    calls = []
+
+    def writev(fd, bufs):
+        calls.append(len(bufs))
+        if len(calls) == fail_at:
+            raise OSError(28, "No space left on device")
+        return os.write(fd, b"".join(memoryview(b).tobytes() for b in bufs)[:7])
+    monkeypatch.setattr(formats, "_IOV_MAX", iov_max)
+    monkeypatch.setattr(os, "writev", writev)
+    return calls
+
+
+def _write_both(tmp_path, name):
+    """Write the golden checkpoint (rank-0 entries give zero-length parts)
+    and a small dataset."""
+    path = str(tmp_path / name)
+    write_checkpoint(path + ".pmxc", {"b": np.array([1.5, -2.0], dtype=np.float32),
+                                      "a": np.float32(0.25), **_tensors()})
+    _write(tmp_path, _fuzz_samples(), name=name + ".pmxd")
+    return [open(path + ext, "rb").read() for ext in (".pmxc", ".pmxd")]
+
+
+def test_short_writes_resume_across_batches(tmp_path, monkeypatch):
+    want = _write_both(tmp_path, "whole")
+    calls = _trickle(monkeypatch, iov_max=3)
+    got = _write_both(tmp_path, "trickled")
+    assert got == want
+    assert len(calls) >= sum(len(blob) for blob in want) // 7
+    assert max(calls) == 3
+    assert sorted(os.listdir(tmp_path)) == ["trickled.pmxc", "trickled.pmxd",
+                                            "whole.pmxc", "whole.pmxd"]
+
+
+@pytest.mark.parametrize("kind", ["dataset", "checkpoint"])
+def test_failed_write_keeps_the_old_file_and_removes_the_temp_file(tmp_path, monkeypatch, kind):
+    path = str(tmp_path / ("out.pmxd" if kind == "dataset" else "out.pmxc"))
+    open(path, "wb").write(b"old")
+    _trickle(monkeypatch, iov_max=3, fail_at=4)
+    with pytest.raises(OSError) as exc:
+        if kind == "dataset":
+            write_dataset(path, _fuzz_samples(), 4, 0.5, 10.0)
+        else:
+            write_checkpoint(path, _tensors())
+    assert exc.value.filename == path and exc.value.errno == 28
+    assert open(path, "rb").read() == b"old"
+    assert os.listdir(tmp_path) == [os.path.basename(path)]
+
+
 # ---- checkpoint files -----------------------------------------------------------
 
 
@@ -578,13 +631,16 @@ def _fuzz_checkpoint(tmp_path):
     return path, open(path, "rb").read(), _checkpoint_fields(tensors)[0]
 
 
-def _fuzz_dataset(tmp_path):
+def _fuzz_samples():
     gen = np.random.default_rng(1)
-    samples = [Sample(gen.random((3, 2, 3), dtype=np.float32),
-                      gen.integers(0, 4, (3, 2), dtype=np.uint8),
-                      gen.uniform(0.5, 10.0, (3, 2)).astype(np.float32),
-                      gen.normal(size=(3, 2, 3)).astype(np.float32)) for _ in range(2)]
-    path = _write(tmp_path, samples, name="f.pmxd")
+    return [Sample(gen.random((3, 2, 3), dtype=np.float32),
+                   gen.integers(0, 4, (3, 2), dtype=np.uint8),
+                   gen.uniform(0.5, 10.0, (3, 2)).astype(np.float32),
+                   gen.normal(size=(3, 2, 3)).astype(np.float32)) for _ in range(2)]
+
+
+def _fuzz_dataset(tmp_path):
+    path = _write(tmp_path, _fuzz_samples(), name="f.pmxd")
     fields = [(4, 4), (8, 4), (12, 2), (14, 2), (16, 2), (18, 4), (22, 4)]
     return path, open(path, "rb").read(), fields
 

@@ -8,6 +8,7 @@ import pytest
 from pmx.errors import ContractError
 from pmx.rng import SplitMix64, mix_seed_index
 from pmx.scene import (
+    _EPS_Z,
     ALBEDO,
     CLASS_NAMES,
     D_MAX,
@@ -25,7 +26,7 @@ from pmx.scene import (
     sample_scene,
     shade,
 )
-from scene_oracles import ray_box, ray_sphere
+from scene_oracles import cast_whole_image, ray_box, ray_sphere
 
 
 # ---- closed-form intersections ------------------------------------------------
@@ -196,6 +197,76 @@ def test_cast_scene_matches_scalar_oracles_at_every_pixel(seed, index, h, w):
     assert scene.spheres and scene.boxes
     skipped = _assert_matches_oracles(scene, h, w)
     assert skipped <= 2, f"{skipped} grazing pixels skipped"
+
+
+def _assert_same_as_whole_image(scene, h, w):
+    """``cast_scene`` gives the bytes of the whole-image reference cast."""
+    for got, want in zip(cast_scene(scene, h, w), cast_whole_image(scene, h, w)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("h,w", [(17, 17), (31, 31), (32, 40), (40, 32)])
+def test_footprint_cast_equals_whole_image_cast_on_sampled_scenes(h, w):
+    for seed in range(3):
+        for index in range(8):
+            scene = sample_scene(SplitMix64(mix_seed_index(seed, index)))
+            _assert_same_as_whole_image(scene, h, w)
+
+
+def _box(lo, hi):
+    return Box(np.array(lo, dtype=float), np.array(hi, dtype=float))
+
+
+def _sphere(center, radius):
+    return Sphere(np.array(center, dtype=float), radius)
+
+
+# At 32x32 the image spans x/z and y/z in [-tan 30, tan 30], and pixel row i,
+# column j looks through (j + 0.5 - 16, 15.5 - i) / F32.
+_TAN30 = np.tan(np.radians(30.0))
+_F32 = 16.0 / _TAN30
+_EDGE = 4.0 * _TAN30  # the image edge at z = 4
+_EDGE_SCENES = {
+    "off_screen": Scene(
+        spheres=[_sphere((6.0, 0.0, 4.0), 0.5), _sphere((-3.0, -3.5, 5.0), 0.4)],
+        boxes=[_box((-0.5, 5.0, 4.0), (0.5, 6.0, 5.0))]),
+    "cut_by_the_edges": Scene(
+        spheres=[_sphere((5.0 * _TAN30, 0.3, 5.0), 0.6)],
+        boxes=[_box((-0.5, _EDGE - 0.4, 4.0), (0.5, _EDGE + 0.4, 4.5)),
+               _box((-_EDGE - 0.3, -_EDGE - 0.3, 4.0), (-_EDGE + 0.3, -0.9, 4.4))]),
+    # the box's x/z spans 0.157-0.166, column 20 alone; the sphere covers
+    # about one pixel around row 10, column 25
+    "one_pixel_wide": Scene(
+        spheres=[_sphere(np.array([9.5, 5.5, _F32]) * 5.0 / _F32, 0.02)],
+        boxes=[_box((0.80, -0.5, 5.0), (0.83, 0.5, 5.1))]),
+    # the box's left and bottom faces lie on rays through pixel centres
+    "edges_through_pixel_centres": Scene(
+        boxes=[_box((-4.0 * 4.5 / _F32, -4.0 * 5.5 / _F32, 4.0), (-4.0 * 0.5 / _F32, 0.3, 4.5))]),
+    "just_above_eps": Scene(
+        spheres=[_sphere((-0.4, 0.1, 0.3 + 2 * _EPS_Z), 0.3)],
+        boxes=[_box((0.2, -0.3, np.nextafter(_EPS_Z, 1.0)), (0.6, 0.3, 3.0))]),
+    "at_and_below_eps": Scene(
+        spheres=[_sphere((-0.4, 0.1, 0.3 + _EPS_Z / 2), 0.3)],
+        boxes=[_box((0.2, -0.3, _EPS_Z), (0.6, 0.3, 3.0)),
+               _box((-0.6, -0.5, np.nextafter(_EPS_Z, 0.0)), (-0.2, -0.3, 2.0)),
+               _box((-0.6, 0.2, 0.0), (-0.2, 0.4, 2.0))]),
+    "behind_the_camera": Scene(
+        spheres=[_sphere((0.0, 0.0, -3.0), 1.0)],
+        boxes=[_box((-1.0, -1.0, -4.0), (1.0, 1.0, -2.0))]),
+    # bounds behind the camera plane project mirrored: cast over the whole image
+    "straddling_the_camera_plane": Scene(
+        spheres=[_sphere((0.5, 0.0, 0.2), 0.4)],
+        boxes=[_box((0.2, -0.25, -1.0), (0.4, 0.15, 3.0))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_SCENES))
+def test_footprint_cast_equals_whole_image_cast_at_the_edges(name):
+    scene = _EDGE_SCENES[name]
+    for h, w in ((32, 32), (17, 17), (32, 40), (40, 32)):
+        _assert_same_as_whole_image(scene, h, w)
+    assert _assert_matches_oracles(scene, 32, 32) <= 16
 
 
 def test_camera_inside_sphere_sees_exit_hits_facing_the_camera():
