@@ -164,11 +164,29 @@ def _train_config(args, header, **override) -> TrainConfig:
     return cfg
 
 
+def _read_val(args, header: DatasetHeader, default=None):
+    """The --val samples, or ``default`` without --val.  A set no run could
+    score is refused, naming --val, before any training."""
+    if not args.val:
+        return default
+    val_header, val = read_dataset(args.val)
+    if val_header.count == 0:
+        problem = "holds no samples"
+    elif val_header.classes > header.classes:
+        problem = f"has {val_header.classes} classes, more than the {header.classes} of --data"
+    elif val_header.h % STRIDE or val_header.w % STRIDE:
+        problem = (f"images are {val_header.h}x{val_header.w}, "
+                   f"not a multiple of the encoder stride {STRIDE}")
+    else:
+        return val
+    raise ContractError(f"--val {args.val}: {problem}")
+
+
 def cmd_train(args) -> int:
     _check_outputs(args, "out", "trace")
     header, samples = read_dataset(args.data)
     cfg = _train_config(args, header)
-    val = read_dataset(args.val)[1] if args.val else None
+    val = _read_val(args, header)
     result = train(samples, cfg, classes=header.classes, d_min=header.d_min,
                    d_max=header.d_max, val_samples=val, out_path=args.out,
                    trace_path=args.trace, resume_from=args.resume)
@@ -246,7 +264,7 @@ def cmd_ablate(args) -> int:
         raise UsageError("--k-list is empty")
     for k in k_list:
         cfg = _train_config(args, header, k=k)
-    val = read_dataset(args.val)[1] if args.val else samples
+    val = _read_val(args, header, samples)
     rows = ablate_k(samples, cfg, k_list, val,
                     classes=header.classes, d_min=header.d_min, d_max=header.d_max)
     for k, report in rows:
@@ -258,7 +276,7 @@ def cmd_compare(args) -> int:
     header, samples = read_dataset(args.data)
     # the cluster run's checks include the baseline's
     cfg = _train_config(args, header, head="cluster")
-    val = read_dataset(args.val)[1] if args.val else samples
+    val = _read_val(args, header, samples)
     pair = compare_baseline(samples, cfg, val,
                             classes=header.classes, d_min=header.d_min, d_max=header.d_max)
     for name in ("cluster", "baseline"):

@@ -80,17 +80,24 @@ def bins_from_logits(logits: Tensor, d_min: float, d_max: float) -> Tuple[Tensor
     return b, w
 
 
-class BinsHead:
-    """Two-layer MLP from each cluster center to a bin logit."""
+class ClusterMLP:
+    """Two-layer gelu MLP from each (B, K, d) cluster center to OUT values."""
+
+    OUT = 1
 
     def __init__(self, p: Params, d: int):
         self.fc1 = Linear(p.sub("fc1."), d, d)
-        self.fc2 = Linear(p.sub("fc2."), d, 1, std=math.sqrt(1.0 / d))
+        self.fc2 = Linear(p.sub("fc2."), d, self.OUT, std=math.sqrt(1.0 / d))
+
+    def values(self, q: Tensor) -> Tensor:
+        return self.fc2(self.fc1(q).gelu())          # (B, K, OUT)
+
+
+class BinsHead(ClusterMLP):
+    """Each cluster center to a bin logit, and the logits to bin centers."""
 
     def __call__(self, q: Tensor, d_min: float, d_max: float) -> Tuple[Tensor, Tensor]:
-        logits = self.fc2(self.fc1(q).gelu())        # (B, K, 1)
-        logits = logits.reshape(q.shape[0], q.shape[1])
-        return bins_from_logits(logits, d_min, d_max)
+        return bins_from_logits(self.values(q).reshape(q.shape[:2]), d_min, d_max)
 
 
 def depth_compose(p: Tensor, b: Tensor, grid: Tuple[int, int]) -> Tensor:
@@ -106,16 +113,13 @@ def depth_compose(p: Tensor, b: Tensor, grid: Tuple[int, int]) -> Tensor:
     return d.reshape(d.shape[0], d.shape[2])
 
 
-class NormalHead:
-    """Two-layer MLP from each cluster center to a unit sphere-segment vector."""
+class NormalHead(ClusterMLP):
+    """Each cluster center to a unit sphere-segment vector."""
 
-    def __init__(self, p: Params, d: int):
-        self.fc1 = Linear(p.sub("fc1."), d, d)
-        self.fc2 = Linear(p.sub("fc2."), d, 3, std=math.sqrt(1.0 / d))
+    OUT = 3
 
     def __call__(self, q: Tensor) -> Tensor:
-        raw = self.fc2(self.fc1(q).gelu())           # (B, K, 3)
-        return _unit(raw, axis=-1)
+        return _unit(self.values(q), axis=-1)
 
 
 def _unit(v: Tensor, axis: int) -> Tensor:

@@ -76,18 +76,20 @@ def miou(pred: np.ndarray, gt: np.ndarray, classes: int) -> Tuple[np.ndarray, fl
     return iou, float(np.nanmean(iou))
 
 
-def _check_mask(sel: np.ndarray, pixels: int) -> None:
+def _selection(mask: np.ndarray, pixels: int, task: str) -> np.ndarray:
+    """The mask as flat bools; an empty mask or one of another size raises."""
+    sel = np.asarray(mask, dtype=bool).reshape(-1)
+    if not sel.any():
+        raise ContractError(f"{task} metrics: empty mask")
     if sel.size != pixels:
         raise ContractError(f"mask covers {sel.size} pixels, predictions {pixels}")
+    return sel
 
 
 def depth_metrics(d_pred: np.ndarray, d_gt: np.ndarray, mask: np.ndarray) -> Dict[str, float]:
-    sel = np.asarray(mask, dtype=bool).reshape(-1)
-    if not sel.any():
-        raise ContractError("depth metrics: empty mask")
     d = np.asarray(d_pred, dtype=np.float64).reshape(-1)
     g = np.asarray(d_gt, dtype=np.float64).reshape(-1)
-    _check_mask(sel, d.size)
+    sel = _selection(mask, d.size, "depth")
     if not sel.all():
         d, g = d[sel], g[sel]
     diff = d - g
@@ -142,11 +144,8 @@ def angular_error_deg(n_pred: np.ndarray, n_gt: np.ndarray) -> np.ndarray:
 
 
 def normal_metrics(n_pred: np.ndarray, n_gt: np.ndarray, mask: np.ndarray) -> Dict[str, float]:
-    sel = np.asarray(mask, dtype=bool).reshape(-1)
-    if not sel.any():
-        raise ContractError("normal metrics: empty mask")
     p, g = _planes(n_pred), _planes(n_gt)
-    _check_mask(sel, p.shape[1])
+    sel = _selection(mask, p.shape[1], "normal")
     if not sel.all():
         p, g = p[:, sel], g[:, sel]
     theta = _angles(p, g)

@@ -87,13 +87,10 @@ class SplitMix64:
         np.multiply(r, np.sin(theta), out=out[1::2])
         return out[:n]
 
-    def shuffle(self, items) -> None:
-        """In-place Fisher-Yates using next_below."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_below(i + 1)
-            items[i], items[j] = items[j], items[i]
-
     def permutation(self, n: int) -> np.ndarray:
+        """range(n) in a Fisher-Yates order drawn with next_below."""
         idx = list(range(n))
-        self.shuffle(idx)
+        for i in range(n - 1, 0, -1):
+            j = self.next_below(i + 1)
+            idx[i], idx[j] = idx[j], idx[i]
         return np.asarray(idx, dtype=np.int64)

@@ -14,22 +14,20 @@ albedo with the fixed unit light direction LIGHT, plus Gaussian pixel noise
 of std NOISE_STD.  These settings are constants; SceneConfig holds only the
 image size.
 
-Casting works on planes of pixels.  The rays of each image size are
-built once and kept read-only, both as ``(h, w, 3)`` directions and as
-three ``(h, w)`` x/y/z planes, so every intersection is elementwise
-arithmetic on planes.  The same cache holds that size's empty room: the
-mask of pixels where the floor is nearer than the wall, and the t of that
-hit.  A running z-buffer starts from the room, visits the spheres and then
-the boxes, and lets a hit take a pixel only when its t is strictly smaller
-than the best so far.  Of equal hits the first in the order wall, floor,
-spheres, boxes wins, so a box face lying in the wall plane stays wall.
-Each primitive is intersected and merged only inside its footprint: the
-pixels whose centres its axis-aligned bounds project to, plus a pixel of
-margin.  Bounds that reach the camera plane (the camera inside a
-primitive, or one straddling or behind it) take the whole image.  Every
-pixel a footprint leaves out is a ray that misses the primitive, so the
-output is the same, bit for bit, as casting each primitive over the whole
-image.
+Casting works on planes of pixels.  Each image size's rays are built once
+and kept read-only, as ``(h, w, 3)`` directions and as x/y/z planes, with
+that size's empty room: the mask of pixels where the floor is nearer than
+the wall, and the t of that hit.  A z-buffer starts from the room and
+visits the spheres, then the boxes; a hit takes a pixel only when its t is
+strictly smaller, so of equal hits the first in the order wall, floor,
+spheres, boxes wins (a box face in the wall plane stays wall).  Each
+intersection returns the normal that faces the camera: inward on a
+sphere's exit hit (the camera inside it), and -sign(d) on the axis of a
+box face.  Each primitive is cast only inside its footprint, the pixels
+whose centres its bounds project to plus a pixel of margin, or over the
+whole image when its bounds reach the camera plane.  A footprint leaves
+out only rays that miss the primitive, so the output is bit for bit that
+of casting over the whole image.
 
 Everything is a pure function of (seed, index, size), so any sample can
 be regenerated alone, in any order, bit-identically.
@@ -90,7 +88,7 @@ class Sample:
     image: np.ndarray   # (H, W, 3) float32 in [0, 1]
     labels: np.ndarray  # (H, W) uint8
     depth: np.ndarray   # (H, W) float32 in [D_MIN, D_MAX]
-    normal: np.ndarray  # (H, W, 3) float32, unit rows, n.z <= 0 hemisphere
+    normal: np.ndarray  # (H, W, 3) float32, unit rows facing the camera (n . ray < 0)
 
 
 @dataclass
@@ -178,8 +176,8 @@ def _footprint(lo: np.ndarray, hi: np.ndarray, h: int, w: int) -> Tuple[slice, s
 
 
 def _cast_sphere(dirs: np.ndarray, planes: np.ndarray, sph: Sphere, win: Tuple[slice, slice]):
-    """Nearest hit t (+inf on a miss) and the outward normal planes over
-    the pixel window ``win``."""
+    """Nearest hit t (+inf on a miss) and the camera-facing normal planes
+    over the pixel window ``win``: inward on exit hits (camera inside)."""
     c, r = sph.center, sph.radius
     # the product runs over the whole image, then is cropped: BLAS may sum
     # a sub-block in another order
@@ -193,16 +191,16 @@ def _cast_sphere(dirs: np.ndarray, planes: np.ndarray, sph: Sphere, win: Tuple[s
     t = np.where(t0 > _EPS_T, t0, np.where(t1 > _EPS_T, t1, np.inf))
     t = np.where(ok, t, np.inf)
     tn = np.where(np.isfinite(t), t, 1.0)
-    n = [(tn * planes[k][win] - c[k]) / r for k in range(3)]
+    rs = np.where(t0 > _EPS_T, r, -r)  # exit hits divide by -r to face the camera
+    n = [(tn * planes[k][win] - c[k]) / rs for k in range(3)]
     return t, n
 
 
 def _cast_box(slab: np.ndarray, box: Box, win: Tuple[slice, slice]):
-    """Slab-method entry t (+inf on a miss) and the entry face's normal
-    planes over the pixel window ``win``; equal entry times go to the
-    earlier axis, x then y then z.  A box that contains the camera gives its
-    exit t instead, with the normal +sign(d) of the earliest axis that
-    bounds the exit."""
+    """Slab-method entry t (+inf on a miss) and camera-facing normal planes
+    over the pixel window ``win``: -sign(d) on the entry face's axis, equal
+    entry times going to x, then y, then z.  A box that contains the camera
+    gives its exit t, with -sign(d) on the earliest axis bounding the exit."""
     slab = slab[:, win[0], win[1]]
     t1 = box.bmin[:, None, None] / slab  # origin is 0
     t2 = box.bmax[:, None, None] / slab
@@ -220,22 +218,19 @@ def _cast_box(slab: np.ndarray, box: Box, win: Tuple[slice, slice]):
     far_axis = np.where(hi[2] < np.minimum(hi[0], hi[1]), 2, far_axis)
     t_near = np.where(enter, t_near, t_far)
     axis = np.where(enter, axis, far_axis)
-    sign = np.where(enter, -1.0, 1.0)
     hit = (t_near <= t_far) & (t_near > _EPS_T)
     t = np.where(hit, t_near, np.inf)
-    n = [np.where(axis == k, sign * np.sign(slab[k]), 0.0) for k in range(3)]
+    n = [np.where(axis == k, -np.sign(slab[k]), 0.0) for k in range(3)]
     return t, n
 
 
 def cast_scene(scene: Scene, h: int, w: int):
     """Analytic ground truth for every pixel: labels, depth, normal.
 
-    The z-buffer starts from the empty room that ``_ray_planes`` keeps
-    with the rays of each size (the floor mask and the t of the wall or
-    floor hit; the normals follow from the mask).  Each sphere and box is
-    then intersected and merged only inside its footprint, the pixel
-    rectangle its bounds project to, or over the whole image when its
-    bounds reach the camera plane."""
+    The z-buffer starts from the empty room that ``_ray_planes`` keeps,
+    with normals from its floor mask.  Each sphere and box is merged only
+    inside its footprint, with normals that already face the camera, so
+    the merged planes are the output as they stand."""
     dirs, planes, slab, floor, t_room = _ray_planes(h, w)
     t_best = t_room.copy()
     labels = floor.astype(np.uint8)  # class 1 on the floor, 0 on the wall
@@ -255,15 +250,9 @@ def cast_scene(scene: Scene, h: int, w: int):
         for bk, nk in zip(n_best, n):
             np.copyto(bk[win], nk, where=closer)
         labels[win][closer] = cls
-    # orient toward the camera (exit hits of spheres face away); the dot
-    # product sums x, y, z left to right, as numpy's sum over that axis does
-    facing = (n_best[0] * planes[0] + n_best[1] * planes[1]) + n_best[2] * planes[2]
-    flip = facing > 0
-    normal = np.empty((h, w, 3))
-    for k, nk in enumerate(n_best):
-        normal[:, :, k] = np.where(flip, -nk, nk)
+    # hand-built scenes can put a hit nearer than D_MIN
     depth = np.clip(t_best * planes[2], D_MIN, D_MAX)
-    return labels, depth, normal
+    return labels, depth, np.stack(n_best, axis=-1)
 
 
 # ---- procedural sampling -------------------------------------------------------

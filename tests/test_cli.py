@@ -17,6 +17,7 @@ from pmx import cli
 from pmx.cli import main, pin_heap_thresholds
 from pmx.formats import (fnv1a64, read_checkpoint, read_dataset, write_checkpoint,
                          write_dataset)
+from pmx.scene import SceneConfig, generate_split
 
 
 @pytest.fixture(scope="module")
@@ -397,7 +398,7 @@ def test_train_family_bad_flag_is_one_line_usage_error(data, tmp_path, capsys, c
 
 
 def _no_work(*args, **kwargs):
-    raise AssertionError("work started before the output path was checked")
+    raise AssertionError("work started before the request was checked")
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -430,6 +431,41 @@ def test_count_zero_dataset_is_one_line_runtime_error(tmp_path, capsys, argv):
     assert main(argv + [str(out), "--data", str(path)]) == 1
     assert _single_line_error(capsys)
     assert not out.exists()
+
+
+def _val_set(data, path, case):
+    """A validation dataset no run could score, written to ``path``."""
+    if case == "empty":
+        path.write_bytes(b"PMXD" + struct.pack("<IIHHHff", 1, 0, 16, 16, 4, 0.5, 10.0))
+        return
+    header, samples = read_dataset(data)
+    if case == "more_classes":
+        samples[2].labels[5, 6] = 6
+        write_dataset(str(path), samples, 8, header.d_min, header.d_max)
+    else:  # 18x18: 18 is not a multiple of the encoder stride
+        write_dataset(str(path), generate_split(0, 2, SceneConfig(size=18)), 4,
+                      header.d_min, header.d_max)
+
+
+@pytest.mark.parametrize("case,named", [
+    ("empty", "holds no samples"),
+    ("more_classes", "has 8 classes, more than the 4 of --data"),
+    ("off_stride", "images are 18x18, not a multiple of the encoder stride 4"),
+], ids=["empty", "more_classes", "off_stride"])
+@pytest.mark.parametrize("command", ["train", "ablate-k", "compare-baseline"])
+def test_val_no_run_could_score_is_refused_before_training(data, tmp_path, capsys, monkeypatch,
+                                                           command, case, named):
+    for name in ("train", "ablate_k", "compare_baseline"):
+        monkeypatch.setattr(f"pmx.cli.{name}", _no_work)
+    val = tmp_path / "val.pmxd"
+    _val_set(data, val, case)
+    argv = [command, "--task", "depth", "--data", data, "--val", str(val), "--steps", "3"]
+    if command == "train":
+        argv += ["--out", str(tmp_path / "m.pmxc"), "--trace", str(tmp_path / "t.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --val {val}: {named}\n"
+    assert sorted(os.listdir(tmp_path)) == ["val.pmxd"]
 
 
 _T = ["--task", "depth", "--steps", "1", "--batch", "4"]

@@ -380,6 +380,8 @@ def _noise_free_sample(seed: int, index: int, size: int) -> Sample:
 # bytes of image, labels, depth and normal: any change to what the generator
 # writes fails here.  Sizes 16-128, a noise-free image, and scenes with spheres
 # and boxes together (0/0, 1/4, 2/5), boxes only (2/3, 0/7) and a sphere only (0/2).
+# At the odd sizes 17 and 31 the centre row and column have zero ray components,
+# which the box slab divisors replace by 1e-12; both scenes have a box there.
 _GOLDEN = [
     (0, 0, 16, True,
      ("170ade5546b165c5", "45183e8e0f7db6fd", "12e02a8671f1855b", "bd49d5284a49412b")),
@@ -395,6 +397,10 @@ _GOLDEN = [
      ("ab36bb09a8a60f32", "c69381073abff839", "754a173bcabae79e", "daafdbfa56a0618c")),
     (2, 5, 128, True,
      ("50e0d112cdfe641a", "3bdf2c3eea2f6465", "bf48c1806cf25384", "38824ba69dcaf894")),
+    (0, 0, 17, True,
+     ("b82ff872fa823ae6", "86f6d5c2dc3e8ff0", "d9bc332322592e1e", "8144578ee4ac646b")),
+    (2, 4, 31, False,
+     ("325f03ec87ce0597", "8211451b8ad8e6a4", "f3906f9bb89c82d1", "0461dc1de0a47f7e")),
 ]
 
 
