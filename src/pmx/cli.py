@@ -2,8 +2,9 @@
 
 Subcommands: generate, train, eval, predict, dump-probmaps, ablate-k,
 compare-baseline.  Exit codes: 0 success, 1 runtime or data error (I/O,
-corrupt files, diverged training, incompatible checkpoints), 2 usage error
-(bad flags, contract violations in the request itself).
+corrupt files, diverged training, incompatible checkpoints, running out of
+memory), 2 usage error (bad flags, contract violations in the request
+itself).
 
 Defaults are aligned so `pmx generate && pmx train && pmx eval` works with
 no flags.  A subcommand runs in float32; the 64-bit mode with per-op
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import math
 import os
 import sys
 from typing import List, Optional
@@ -27,14 +27,13 @@ from . import netpbm
 from .backbone import STRIDE
 from .errors import ContractError, FormatError, TrainingDiverged
 from .formats import DatasetHeader, read_dataset, write_dataset
-from .losses import LossConfig
 from .metrics import METRIC_KEYS
 from .model import HEAD_KINDS, TASKS, VARIANTS, load_model
 from .scene import (CLASS_NAMES, D_MAX, D_MIN, LIGHT, N_CLASSES, NOISE_STD, NUM_PRIMS_MAX,
                     NUM_PRIMS_MIN, SceneConfig, generate_split)
 from .tensor import Tensor
 from .train import (LR_PRESETS, TrainConfig, _batch, ablate_k, compare_baseline,
-                    evaluate, model_config, train)
+                    evaluate, model_config, size_multiple, train)
 
 
 class UsageError(Exception):
@@ -126,12 +125,10 @@ def cmd_generate(args) -> int:
         DatasetHeader(args.count, cfg.size, cfg.size, N_CLASSES, D_MIN, D_MAX).validate()
     except ContractError as exc:
         raise UsageError(str(exc)) from exc
-    # the coarsest scale of the depth gradient loss pools by 2^(scales - 1)
-    pool = 2 ** (LossConfig().grad_scales - 1)
-    multiple = math.lcm(STRIDE, pool)
+    multiple = size_multiple("depth")
     if args.size % multiple:
-        raise UsageError(f"--size {args.size} is not a multiple of {multiple} "
-                         f"(encoder stride {STRIDE}, depth gradient pooling {pool})")
+        raise UsageError(f"--size {args.size} is not a multiple of {multiple}, "
+                         f"which depth training needs")
     samples = generate_split(args.seed, args.count, cfg)
     manifest = {
         "seed": args.seed,
@@ -321,6 +318,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except (FormatError, ContractError, TrainingDiverged, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

@@ -7,7 +7,7 @@ contribute 0 instead.  The synthetic generator never emits invalid pixels,
 but the machinery mirrors real datasets where it matters.
 
 Depth losses take predictions as (B, N) rows at full resolution; normals as
-(B, N, 3); segmentation as flattened (M, C) logits.
+(B, N, 3); segmentation as (..., C) logits, one row of C per pixel.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, ShapeError
 from .formats import IGNORE_LABEL
-from .tensor import Tensor
+from .tensor import Tensor, one_hot
 
 
 @dataclass(frozen=True)
@@ -132,28 +132,29 @@ def normal_l2(n_pred: Tensor, n_gt: np.ndarray, mask: np.ndarray) -> Tensor:
 def seg_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """mean over the pixels not labeled IGNORE_LABEL of -log softmax(logits)[label].
 
-    logits (M, C); labels (M,) ints.  The log-softmax shift detaches the
-    row max, which leaves the gradient exact by shift invariance.
+    logits (..., C); labels ints, one per row of C logits, in any shape of
+    that many entries.
     """
-    labels = np.asarray(labels).reshape(-1)
+    labels = np.asarray(labels)
+    if labels.size * logits.shape[-1] != logits.data.size:
+        raise ShapeError(f"cross entropy: {labels.size} labels for logits {logits.shape}")
+    labels = labels.reshape(logits.shape[:-1])
     valid = labels != IGNORE_LABEL
     n = float(valid.sum())
     if n == 0:
         raise ContractError("cross entropy: every pixel is ignored")
-    c = logits.shape[-1]
-    shifted = logits - Tensor(logits.data.max(axis=-1, keepdims=True)).expand_axis(1, c)
-    lse = shifted.exp().sum(axis=-1, keepdims=True).log()
-    logp = shifted - lse.expand_axis(1, c)
-    safe = np.where(valid, labels, 0)
-    nll = -(logp.gather_rows(safe))
-    return (nll * Tensor(valid.astype(np.float64))).sum() * (1.0 / n)
+    hot = one_hot(np.where(valid, labels, 0), logits.shape[-1]).data
+    # -1 at each counted pixel's label and 0 elsewhere, so a row's sum is its NLL
+    pick = Tensor(hot * np.where(valid, -1.0, 0.0).astype(hot.dtype)[..., None])
+    nll = (logits.log_softmax() * pick).sum(axis=-1)
+    return nll.sum() * (1.0 / n)
 
 
 def total_loss(task: str, prediction, sample_arrays: Dict[str, np.ndarray],
                cfg: LossConfig, hw: Tuple[int, int]):
     """Per-task objective with a breakdown dict of float term values.
 
-    seg: prediction is (M, C) logits, targets 'labels' (M,).
+    seg: prediction is (..., C) logits, targets 'labels' with one per row.
     depth: prediction is (B, N) meters, targets 'depth' (B, N) + 'mask'.
     normal: prediction is (B, N, 3), targets 'normal' (B, N, 3) + 'mask'.
     """

@@ -23,15 +23,15 @@ padded input held as flat polyphase planes, so that each im2col and col2im
 tap is one contiguous slice; taps lowered in groups, where a conv that
 records a graph copies and holds only the three row taps and reads each
 column tap a column or two on; one gemm per group over the whole batch on
-an output grid a column or two wider than the image), softmax, layer norm
-over the last axis, bilinear 2x upsampling, reductions, and a small set of
-shape/indexing ops.
+an output grid a column or two wider than the image), softmax and
+log-softmax, layer norm over the last axis, bilinear 2x upsampling,
+reductions, and a small set of shape ops.
 There is no general broadcasting; the only sanctioned broadcast is the
 trailing bias add in ``bias_add`` and the explicit ``expand_axis`` /
 ``expand_leading`` repeats, whose backward is a sum.
 
-Integer payloads (class labels, gather indices) stay plain numpy arrays and
-never enter the graph.
+Integer payloads (class labels) stay plain numpy arrays and never enter
+the graph.
 """
 
 from __future__ import annotations
@@ -312,6 +312,18 @@ class Tensor:
             xn._accum(y * (g - dot), owned=True)
         return _result(y, (self,), back)
 
+    def log_softmax(self, axis: int = -1) -> "Tensor":
+        """x - max - log(sum(exp(x - max))) over one axis, as one node; the
+        shift by the detached max leaves the gradient exact."""
+        x = self.data
+        shifted = x - x.max(axis=axis, keepdims=True)
+        e = np.exp(shifted)
+        t = e.sum(axis=axis, keepdims=True)
+
+        def back(g, xn):
+            xn._accum(g - e * (g.sum(axis=axis, keepdims=True) / t), owned=True)
+        return _result(shifted - np.log(t), (self,), back)
+
     def layernorm(self, gamma: "Tensor", beta: "Tensor", eps: float = 1e-5) -> "Tensor":
         """Normalize over the last axis, then scale and shift.
 
@@ -387,23 +399,6 @@ class Tensor:
         return _result(self.data.mean(axis=axis, keepdims=keepdims), (self,),
                        lambda g, xn: xn._accum(_spread(g, axis, keepdims, xn.shape) / n,
                                              owned=True))
-
-    # ---- indexing ---------------------------------------------------------------
-
-    def gather_rows(self, indices: np.ndarray) -> "Tensor":
-        """Pick one column per row: out[i] = x[i, indices[i]].  x is 2D."""
-        if self.ndim != 2:
-            raise ShapeError(f"gather_rows needs a 2D tensor, got {self.shape}")
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.shape != (self.shape[0],):
-            raise ShapeError(f"gather_rows indices {idx.shape} for tensor {self.shape}")
-        rows = np.arange(self.shape[0])
-
-        def back(g, xn):
-            full = np.zeros(xn.shape, dtype=xn.dtype)
-            np.add.at(full, (rows, idx), g)
-            xn._accum(full, owned=True)
-        return _result(self.data[rows, idx], (self,), back)
 
     # ---- spatial ops ---------------------------------------------------------
 

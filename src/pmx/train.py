@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .backbone import STRIDE
 from .errors import ContractError, TrainingDiverged
 from .losses import LossConfig, total_loss
 from .metrics import (PRIMARY_METRIC, MetricReport, depth_metrics, miou,
@@ -178,7 +179,7 @@ def _batch(samples: Sequence[Sample], idx: Sequence[int],
 def _targets(task: str, gt: np.ndarray) -> Dict[str, np.ndarray]:
     """The loss targets for a batch's ground truth."""
     if task == "seg":
-        return {"labels": gt.reshape(-1)}
+        return {"labels": gt}
     b, h, w = gt.shape[:3]
     return {task: gt.reshape(b, h * w, *gt.shape[3:]),
             "mask": np.ones((b, h * w), dtype=np.float32)}
@@ -226,6 +227,15 @@ class TrainResult:
     reports: List[Tuple[int, MetricReport]]
     final_report: Optional[MetricReport]
     best_step: int
+
+
+def size_multiple(task: str) -> int:
+    """What each side of a ``task`` training image must be a multiple of:
+    the encoder stride, and for depth also the pooling of the gradient
+    loss's coarsest scale."""
+    if task == "depth":
+        return math.lcm(STRIDE, 2 ** (LossConfig().grad_scales - 1))
+    return STRIDE
 
 
 def model_config(cfg: TrainConfig, classes: int, d_min: float, d_max: float) -> ModelConfig:
@@ -300,6 +310,11 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, classes: int = 4,
     cfg.validate()
     if len(samples) == 0:
         raise ContractError("training needs a nonempty dataset")
+    h, w = samples[0].labels.shape
+    multiple = size_multiple(cfg.task)
+    if h % multiple or w % multiple:
+        raise ContractError(f"{cfg.task} training needs image sides that are multiples of "
+                            f"{multiple}, got {h}x{w}")
     if resume_from is None:
         model, opt_state = Model(model_config(cfg, classes, d_min, d_max), seed=cfg.seed), None
     else:
@@ -308,7 +323,9 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, classes: int = 4,
     opt = AdamW(model.params(), cfg.lr)
     if opt_state is not None:
         opt.load(opt_state)     # a checkpoint without opt/ entries fails here
-    h, w = samples[0].labels.shape
+        if opt.t >= cfg.steps:
+            raise ContractError(f"resume checkpoint is at step {opt.t}, so a run of "
+                                f"{cfg.steps} steps has none left to train")
     trace: List[Tuple[int, float, Dict[str, float]]] = []
     reports: List[Tuple[int, MetricReport]] = []
     best: Tuple[float, int] = None
@@ -329,9 +346,6 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, classes: int = 4,
         idx = batch_indices(cfg.seed, len(samples), cfg.batch, step)
         images, gt = _batch(samples, idx, cfg.task)
         prediction = model.train_outputs(Tensor(images))[PRED_KEY[cfg.task]]
-        if cfg.task == "seg":
-            b, n, c = prediction.shape
-            prediction = prediction.reshape(b * n, c)
         loss, terms = total_loss(cfg.task, prediction, _targets(cfg.task, gt),
                                  LossConfig(), (h, w))
         value = float(loss.data)

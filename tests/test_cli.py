@@ -235,6 +235,30 @@ def test_train_resume_of_the_same_model_continues(data, depth_ckpt, tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("steps", ["2", "1"], ids=["at_the_step", "before_it"])
+def test_train_resume_with_no_steps_left_is_one_line_runtime_error(data, depth_ckpt, tmp_path,
+                                                                   capsys, steps):
+    out, trace = tmp_path / "b.pmxc", tmp_path / "b.csv"
+    assert main(["train", "--task", "depth", "--data", data, "--steps", steps, "--batch", "4",
+                 "--resume", depth_ckpt, "--out", str(out), "--trace", str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert _is_one_error_line(err) and f"step 2, so a run of {steps} steps" in err
+    assert not out.exists() and not trace.exists()
+
+
+def test_train_depth_on_images_it_cannot_pool_is_one_line_runtime_error(data, tmp_path, capsys):
+    # a library-written set: generate refuses this size for every task
+    header, _ = read_dataset(data)
+    path, out = tmp_path / "twenty.pmxd", tmp_path / "m.pmxc"
+    write_dataset(str(path), generate_split(0, 2, SceneConfig(size=20)), header.classes,
+                  header.d_min, header.d_max)
+    assert main(["train", "--task", "depth", "--data", str(path), "--steps", "1",
+                 "--batch", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert _is_one_error_line(err) and "multiples of 8, got 20x20" in err
+    assert not out.exists()
+
+
 def test_eval_prints_report_json(data, depth_ckpt, capsys, tmp_path):
     report_path = str(tmp_path / "report.json")
     code = main(["eval", "--task", "depth", "--data", data,
@@ -559,6 +583,29 @@ def test_compare_baseline_prints_both_and_deltas(data, capsys):
     out = capsys.readouterr().out
     assert "cluster {" in out and "baseline {" in out
     assert "delta delta1" in out
+
+
+@pytest.mark.parametrize("detail", [
+    "Unable to allocate 47.7 GiB for an array with shape (100000000, 64) and data type float64",
+    "",
+], ids=["numpy", "bare"])
+@pytest.mark.parametrize("command,argv", [
+    ("train", ["--k", "100000000"]),
+    ("ablate_k", ["--k-list", "4,100000000"]),
+], ids=["train", "ablate-k"])
+def test_running_out_of_memory_is_one_line_runtime_error(data, tmp_path, capsys, monkeypatch,
+                                                         command, argv, detail):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(detail) if detail else MemoryError
+    monkeypatch.setattr(f"pmx.cli.{command}", out_of_memory)
+    out = tmp_path / "m.pmxc"
+    argv = [command.replace("_", "-"), "--task", "depth", "--data", data, "--steps", "2", *argv]
+    if command == "train":
+        argv += ["--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert _is_one_error_line(err) and err.startswith("error: out of memory")
+    assert detail in err and not out.exists()
 
 
 def test_missing_required_flag_exits_two(data):

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from pmx import precision
-from pmx.errors import ContractError
+from pmx.errors import ContractError, ShapeError
 from pmx.losses import (LossConfig, charbonnier, multiscale_grad, normal_l2,
                         rel_sq, seg_cross_entropy, silog, total_loss)
 from pmx.metrics import angular_error_deg
-from pmx.tensor import Tensor
+from pmx.tensor import Tensor, parameter
 
 from gradcheck import gradcheck
 
@@ -244,6 +244,50 @@ def test_ce_ignored_pixels_do_not_contribute(rng):
 def test_ce_all_ignored_raises():
     with pytest.raises(ContractError):
         seg_cross_entropy(Tensor(np.zeros((4, 4))), np.full(4, 255))
+
+
+def test_ce_batched_logits_match_the_flattened_call_bit_for_bit(rng):
+    # (B, N, C) logits, as the seg heads return them, against (B*N, C) rows;
+    # the labels flat, or stacked per image as (B, H, W)
+    b, h, w, c = 3, 20, 35, 4
+    x = (rng.normal(size=(b, h * w, c)) * 4.0).astype(np.float32)
+    labels = rng.integers(0, c, size=b * h * w)
+    labels[rng.random(b * h * w) < 0.2] = 255
+    got = []
+    for shape, lab in (((b * h * w, c), labels), ((b, h * w, c), labels),
+                       ((b, h * w, c), labels.reshape(b, h, w))):
+        p = parameter(x.reshape(shape))
+        loss = seg_cross_entropy(p, lab)
+        loss.backward()
+        got.append((loss.data.tobytes(), p.grad.tobytes()))
+    assert got[1] == got[0] and got[2] == got[0]
+
+
+def test_ce_value_and_gradient_match_the_float64_analytic_form(rng):
+    # d/dz of the mean NLL is (softmax(z) - onehot) * valid / n
+    m, c = 50, 5
+    x = rng.normal(size=(m, c)) * 3.0
+    labels = rng.integers(0, c, size=m)
+    labels[::7] = 255
+    valid = labels != 255
+    z = x - x.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    safe = np.where(valid, labels, 0)
+    n = valid.sum()
+    want = -(logp[np.arange(m), safe] * valid).sum() / n
+    want_grad = (np.exp(logp) - np.eye(c)[safe]) * valid[:, None] / n
+    with precision.verify():
+        p = parameter(x)
+        loss = seg_cross_entropy(p, labels)
+        loss.backward()
+    assert abs(float(loss.data) - want) < 1e-12
+    np.testing.assert_allclose(p.grad, want_grad, rtol=0, atol=1e-12)
+    assert (p.grad[~valid] == 0).all()
+
+
+def test_ce_label_count_not_the_row_count_raises():
+    with pytest.raises(ShapeError):
+        seg_cross_entropy(Tensor(np.zeros((2, 3, 4))), np.zeros(5, dtype=int))
 
 
 # ---- assembly ----------------------------------------------------------------------

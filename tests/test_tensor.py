@@ -296,10 +296,21 @@ def test_cumsum_last_and_narrow():
     np.testing.assert_allclose(x.narrow(1, 1, 2).data, [[2.0, 3.0]])
 
 
-def test_gather_rows_picks_one_column_per_row():
-    x = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    got = x.gather_rows(np.array([1, 0, 1]))
-    np.testing.assert_allclose(got.data, [2.0, 3.0, 6.0])
+def test_log_softmax_matches_float64_reference_and_stays_finite():
+    x = _n(63, 6, 5).astype(np.float32) * 3.0
+    x[0] = [1e4, -1e4, 0.0, 1e4, -1e4]
+    x[1] = -1e4
+    for axis in (-1, 0):
+        ref = x.astype(np.float64)
+        ref = ref - ref.max(axis=axis, keepdims=True)
+        ref = ref - np.log(np.exp(ref).sum(axis=axis, keepdims=True))
+        p = parameter(x)
+        y = p.log_softmax(axis=axis)
+        assert y.data.dtype == np.float32 and np.isfinite(y.data).all()
+        np.testing.assert_allclose(y.data, ref, rtol=1e-6, atol=1e-6)
+        sums = np.exp(y.data.astype(np.float64)).sum(axis=axis)
+        np.testing.assert_allclose(sums, 1.0, atol=1e-6)
+        assert y._parents == (p,)  # one node, straight on its input
 
 
 def test_one_hot_is_constant_and_exact():
@@ -522,7 +533,7 @@ def test_gradcheck_linear_is_exact():
         ("expand_leading", lambda a: a.expand_leading(3), [_n(45, 4, 5)]),
         ("narrow", lambda a: a.narrow(1, 1, 2), [_n(46, 3, 4)]),
         ("cumsum", lambda a: a.cumsum_last(), [_n(47, 3, 4)]),
-        ("gather", lambda a: a.gather_rows(np.array([1, 0, 3, 2])), [_n(48, 4, 5)]),
+        ("log_softmax", lambda a: a.log_softmax(axis=-1), [_n(48, 4, 5)]),
         ("layernorm", lambda a, g, b: a.layernorm(g, b),
          [_n(49, 4, 6), _n(50, 6), _n(51, 6)]),
         ("bias_add", lambda a, b: bias_add(a, b), [_n(52, 3, 4, 5), _n(53, 5)]),

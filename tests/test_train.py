@@ -11,10 +11,11 @@ from pmx.errors import ContractError, TrainingDiverged
 from pmx.formats import fnv1a64, read_checkpoint, write_checkpoint
 from pmx.metrics import miou
 from pmx.model import Model, ModelConfig, load_checkpoint, save_model
+from pmx.scene import SceneConfig, generate_split
 from pmx.tensor import Tensor, parameter
 from pmx.train import (ENC_LR_MULT, WEIGHT_DECAY, AdamW, TrainConfig, ablate_k,
-                       batch_indices, compare_baseline, epoch_permutation, evaluate, train,
-                       write_trace)
+                       batch_indices, compare_baseline, epoch_permutation, evaluate,
+                       size_multiple, train, write_trace)
 
 
 # ---- AdamW -------------------------------------------------------------------------
@@ -252,6 +253,26 @@ def test_evaluate_task_mismatch_raises(tiny_split):
 # ---- training loop ------------------------------------------------------------------
 
 
+def test_size_multiple_is_the_stride_and_for_depth_the_gradient_pooling():
+    assert {t: size_multiple(t) for t in ("seg", "depth", "normal")} == {
+        "seg": 4, "depth": 8, "normal": 4}
+
+
+def test_depth_images_the_gradient_loss_cannot_pool_are_refused_before_a_model(monkeypatch):
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built")
+    monkeypatch.setattr("pmx.train.Model", no_model)
+    samples = generate_split(0, 2, SceneConfig(size=20))
+    with pytest.raises(ContractError, match="multiples of 8, got 20x20"):
+        train(samples, TrainConfig(task="depth", steps=1, batch=2))
+
+
+@pytest.mark.parametrize("task", ["seg", "normal"])
+def test_tasks_without_pooling_train_on_twenty_pixel_images(task):
+    samples = generate_split(0, 2, SceneConfig(size=20))
+    assert len(train(samples, TrainConfig(task=task, steps=1, batch=2)).trace) == 1
+
+
 def test_identical_seeds_identical_traces(tiny_split):
     samples, _ = tiny_split
     cfg = TrainConfig(task="depth", steps=8, batch=4, seed=11)
@@ -289,6 +310,20 @@ def test_resume_task_mismatch_raises(tiny_split, tmp_path):
     train(samples, TrainConfig(task="seg", steps=2, batch=4), out_path=ckpt)
     with pytest.raises(ContractError):
         train(samples, TrainConfig(task="depth", steps=4, batch=4), resume_from=ckpt)
+
+
+@pytest.mark.parametrize("steps", [2, 1], ids=["at_the_step", "before_it"])
+def test_resume_with_no_steps_left_is_refused_before_anything_is_written(tiny_split, tmp_path,
+                                                                        steps):
+    samples, _ = tiny_split
+    ckpt = str(tmp_path / "a.pmxc")
+    train(samples, TrainConfig(task="seg", steps=2, batch=4), out_path=ckpt)
+    out, trace = tmp_path / "b.pmxc", tmp_path / "b.csv"
+    with pytest.raises(ContractError, match=f"step 2, so a run of {steps} steps"):
+        train(samples, TrainConfig(task="seg", steps=steps, batch=4, eval_every=1),
+              val_samples=samples[:2], out_path=str(out), trace_path=str(trace),
+              resume_from=ckpt)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pmxc"]
 
 
 @pytest.mark.parametrize("change,named", [
