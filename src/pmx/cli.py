@@ -119,9 +119,8 @@ def _check_outputs(args, *flags: str) -> None:
 
 def cmd_generate(args) -> int:
     _check_outputs(args, "out")
-    cfg = SceneConfig(size=args.size)
     try:
-        cfg.validate()
+        cfg = SceneConfig(size=args.size)
         DatasetHeader(args.count, cfg.size, cfg.size, N_CLASSES, D_MIN, D_MAX).validate()
     except ContractError as exc:
         raise UsageError(str(exc)) from exc
@@ -145,17 +144,16 @@ def cmd_generate(args) -> int:
 
 def _train_config(args, header, **override) -> TrainConfig:
     """The TrainConfig the train-family flags ask for, with any override
-    applied; a request train() would reject is a UsageError."""
+    applied; a setting that TrainConfig or ModelConfig refuses when built
+    is a UsageError."""
     fields = dict(
         task=args.task, steps=args.steps, batch=args.batch, lr=args.lr,
         seed=args.seed, k=args.k, variant=args.variant, head=args.head,
         eval_every=args.eval_every, clip_norm=0.0 if args.no_clip else TrainConfig.clip_norm,
     )
-    fields.update(override)
-    cfg = TrainConfig(**fields)
     try:
-        cfg.validate()
-        model_config(cfg, header.classes, header.d_min, header.d_max).validate()
+        cfg = TrainConfig(**{**fields, **override})
+        model_config(cfg, header.classes, header.d_min, header.d_max)
     except ContractError as exc:
         raise UsageError(str(exc)) from exc
     return cfg

@@ -44,6 +44,7 @@ CHECKPOINT_VERSION = 2
 IGNORE_LABEL = 255  # the one label byte allowed at or above the header's class count
 
 _U16, _U32, _F32_MAX = 0xFFFF, 0xFFFFFFFF, float(np.finfo(np.float32).max)  # header fields
+F32_EXACT_MAX = 2**24  # counts up to this are exact in an f32 entry; 2**24 + 1 is not
 _DATASET_HEADER = struct.Struct("<4sIIHHHff")  # magic, version, count, h, w, classes, depth range
 _CHECKPOINT_HEADER = struct.Struct("<4sII")  # magic, version, entry count
 _NAME_LEN, _RANK, _DIM = map(struct.Struct, ("<H", "<B", "<I"))  # entry: name, rank, dims, data
@@ -103,6 +104,11 @@ def _atomic_write(path: str, parts: Iterable) -> None:
             os.remove(tmp)
 
 
+def f32_depth_range(d_min: float, d_max: float) -> bool:
+    """Whether 0 < d_min < d_max < inf holds in float32, as files store the range."""
+    return bool(0 < d_min < d_max <= _F32_MAX and 0 < np.float32(d_min) < np.float32(d_max))
+
+
 # ---- dataset ------------------------------------------------------------------
 
 
@@ -131,9 +137,9 @@ class DatasetHeader:
                                  ("pixel count", self.h * self.w, _MAX_PIXELS)):
             if not 1 <= value <= top:
                 raise ContractError(f"dataset {name} {value} outside the header's range 1..{top}")
-        if not 0 < self.d_min < self.d_max <= _F32_MAX:
+        if not f32_depth_range(self.d_min, self.d_max):
             raise ContractError(f"dataset depth range [{self.d_min}, {self.d_max}] "
-                                f"not within (0, {_F32_MAX:g}]")
+                                f"not a nonempty range within (0, {_F32_MAX:g}] in float32")
 
 
 def write_dataset(path: str, samples: Sequence[Sample], classes: int, d_min: float,

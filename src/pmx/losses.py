@@ -28,7 +28,7 @@ class LossConfig:
     grad_scales: int = 4
     depth_weights: Tuple[float, float, float] = (1.0, 1.0, 1.0)  # silog, rel_sq, grad
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.silog_lambda <= 1.0:
             raise ContractError(f"silog lambda {self.silog_lambda} outside [0,1]")
         if self.grad_scales < 1:
@@ -158,7 +158,6 @@ def total_loss(task: str, prediction, sample_arrays: Dict[str, np.ndarray],
     depth: prediction is (B, N) meters, targets 'depth' (B, N) + 'mask'.
     normal: prediction is (B, N, 3), targets 'normal' (B, N, 3) + 'mask'.
     """
-    cfg.validate()
     if task == "seg":
         loss = seg_cross_entropy(prediction, sample_arrays["labels"])
         return loss, {"ce": float(loss.data)}

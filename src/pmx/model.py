@@ -17,7 +17,6 @@ resume must share under ``train/``, so a file alone reconstructs the model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -48,7 +47,7 @@ class ModelConfig:
     d_min: float = 0.5
     d_max: float = 10.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name, value, choices in (("task", self.task, TASKS),
                                      ("head kind", self.head, HEAD_KINDS),
                                      ("attention variant", self.variant, VARIANTS)):
@@ -59,7 +58,9 @@ class ModelConfig:
                 f"segmentation requires K = C (one query per class): K={self.k}, C={self.classes}")
         if min(self.k, self.classes) < 1:
             raise ContractError(f"K={self.k} and C={self.classes} must be >= 1")
-        if not 0 < self.d_min < self.d_max < math.inf:
+        if max(self.k, self.classes) > formats.F32_EXACT_MAX:
+            raise ContractError(f"K={self.k} and C={self.classes} must be <= {formats.F32_EXACT_MAX}")
+        if not formats.f32_depth_range(self.d_min, self.d_max):
             raise ContractError(f"depth range [{self.d_min}, {self.d_max}] invalid")
 
 
@@ -67,7 +68,6 @@ def _modules(cfg: ModelConfig, p: Params, hp: Params):
     """The trunk (a Backbone, or an Encoder for the baseline head) with its
     parameters made through p, and the head (None for seg clusters) with
     its parameters made through hp; both record into one dict."""
-    cfg.validate()
     if cfg.head == "baseline":
         return (Encoder(p.sub("enc/"), WIDTHS, D),
                 heads.BaselineHead(hp.sub("head/baseline."), D, cfg.task, cfg.classes,
@@ -180,17 +180,10 @@ def _values(tensors: Dict[str, np.ndarray], key: str, n: int) -> List[float]:
     return [float(v) for v in arr]
 
 
-def _choice(tensors: Dict[str, np.ndarray], key: str, choices: Tuple[str, ...]) -> str:
+def _whole(tensors: Dict[str, np.ndarray], key: str, lo: int, hi: int) -> int:
     value = _values(tensors, key, 1)[0]
-    if not (value.is_integer() and 0 <= value < len(choices)):
-        raise ContractError(f"checkpoint {key} = {value:g} is not an index into {choices}")
-    return choices[int(value)]
-
-
-def _count(tensors: Dict[str, np.ndarray], key: str) -> int:
-    value = _values(tensors, key, 1)[0]
-    if not (value.is_integer() and value >= 1):
-        raise ContractError(f"checkpoint {key} = {value:g}: a count must be a positive integer")
+    if not (value.is_integer() and lo <= value <= hi):
+        raise ContractError(f"checkpoint {key} = {value:g} is not a whole number in {lo}..{hi}")
     return int(value)
 
 
@@ -202,19 +195,17 @@ def config_from_meta(tensors: Dict[str, np.ndarray]) -> ModelConfig:
     check in ``Params``."""
     try:
         d_min, d_max = _values(tensors, "meta/drange", 2)
-        cfg = ModelConfig(
-            task=_choice(tensors, "meta/task", TASKS),
-            head=_choice(tensors, "meta/head", HEAD_KINDS),
-            variant=_choice(tensors, "meta/variant", VARIANTS),
-            k=_count(tensors, "meta/k"),
-            classes=_count(tensors, "meta/classes"),
+        return ModelConfig(
+            task=TASKS[_whole(tensors, "meta/task", 0, len(TASKS) - 1)],
+            head=HEAD_KINDS[_whole(tensors, "meta/head", 0, len(HEAD_KINDS) - 1)],
+            variant=VARIANTS[_whole(tensors, "meta/variant", 0, len(VARIANTS) - 1)],
+            k=_whole(tensors, "meta/k", 1, formats.F32_EXACT_MAX),
+            classes=_whole(tensors, "meta/classes", 1, formats.F32_EXACT_MAX),
             d_min=d_min,
             d_max=d_max,
         )
     except KeyError as exc:
         raise ContractError(f"checkpoint lacks model metadata: {exc}") from exc
-    cfg.validate()
-    return cfg
 
 
 def stored_config(cfg: ModelConfig) -> ModelConfig:

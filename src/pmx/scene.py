@@ -76,7 +76,7 @@ _MARGIN = 1    # pixels added around each footprint for rounding in the projecti
 class SceneConfig:
     size: int = 64
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.size < 16:
             raise ContractError(f"image size {self.size} below minimum 16")
         if self.size > MAX_SIZE:
@@ -290,7 +290,6 @@ def shade(labels: np.ndarray, normal: np.ndarray) -> np.ndarray:
 
 def generate_sample(seed: int, index: int, cfg: SceneConfig) -> Sample:
     """Pure function of (seed, index, cfg.size)."""
-    cfg.validate()
     gen = SplitMix64(mix_seed_index(seed, index))
     h = w = cfg.size
     scene = sample_scene(gen)

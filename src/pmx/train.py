@@ -26,6 +26,7 @@ import numpy as np
 
 from .backbone import STRIDE
 from .errors import ContractError, TrainingDiverged
+from .formats import F32_EXACT_MAX
 from .losses import LossConfig, total_loss
 from .metrics import (PRIMARY_METRIC, MetricReport, depth_metrics, miou,
                       normal_metrics, report_for)
@@ -41,6 +42,7 @@ WEIGHT_DECAY = 0.05
 ENC_LR_MULT = 0.1
 BETA1, BETA2 = 0.9, 0.999
 ADAM_EPS = 1e-8
+EVAL_BATCH = 8  # samples that evaluate predicts at a time
 
 
 @dataclass(frozen=True)
@@ -56,11 +58,14 @@ class TrainConfig:
     eval_every: int = 0          # 0: evaluate only at the end
     clip_norm: float = 10.0      # 0 disables clipping
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.steps < 1 or self.batch < 1:
             raise ContractError("steps and batch size must be positive")
-        if not 0 <= self.lr < math.inf:
-            raise ContractError(f"lr {self.lr} must be finite and nonnegative")
+        if max(self.steps, self.batch) > F32_EXACT_MAX:
+            raise ContractError(f"steps and batch size must be <= {F32_EXACT_MAX}")
+        for name, value in (("lr", self.lr), ("clip_norm", self.clip_norm)):
+            if not 0 <= value < math.inf:
+                raise ContractError(f"{name} {value} must be finite and nonnegative")
         if self.eval_every < 0:
             raise ContractError(f"eval_every {self.eval_every} must be >= 0 (0: only at the end)")
 
@@ -189,7 +194,7 @@ def _targets(task: str, gt: np.ndarray) -> Dict[str, np.ndarray]:
 
 
 def evaluate(model: Optional[Model], samples: Sequence[Sample], task: str,
-             batch: int = 8, classes: int = 4) -> MetricReport:
+             classes: int = 4) -> MetricReport:
     """Pooled metrics over the split.  ``model=None`` scores the ground truth
     against itself over ``classes`` (a perfect-report bypass used to validate
     the pipeline); a model scores over its own classes."""
@@ -201,8 +206,8 @@ def evaluate(model: Optional[Model], samples: Sequence[Sample], task: str,
         raise ContractError("evaluation needs a nonempty dataset")
     preds: List[np.ndarray] = []
     gts: List[np.ndarray] = []
-    for start in range(0, len(samples), batch):
-        idx = np.arange(start, min(start + batch, len(samples)))
+    for start in range(0, len(samples), EVAL_BATCH):
+        idx = np.arange(start, min(start + EVAL_BATCH, len(samples)))
         images, gt = _batch(samples, idx, task)
         preds.append(gt if model is None else model.predict(Tensor(images)))
         gts.append(gt)
@@ -307,7 +312,6 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, classes: int = 4,
           val_samples: Sequence[Sample] = None,
           out_path: str = None, trace_path: str = None,
           resume_from: str = None) -> TrainResult:
-    cfg.validate()
     if len(samples) == 0:
         raise ContractError("training needs a nonempty dataset")
     h, w = samples[0].labels.shape
@@ -331,6 +335,7 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, classes: int = 4,
     best: Tuple[float, int] = None
     best_hi = PRIMARY_METRIC[cfg.task][1]
     last_norm: Tuple[int, float] = None   # (step, pre-clip norm) of the last finite one
+    loss_cfg = LossConfig()
 
     def record(done: int, rep: MetricReport) -> None:
         """Log a validation report; on a new best score, save ``.best``."""
@@ -346,8 +351,7 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, classes: int = 4,
         idx = batch_indices(cfg.seed, len(samples), cfg.batch, step)
         images, gt = _batch(samples, idx, cfg.task)
         prediction = model.train_outputs(Tensor(images))[PRED_KEY[cfg.task]]
-        loss, terms = total_loss(cfg.task, prediction, _targets(cfg.task, gt),
-                                 LossConfig(), (h, w))
+        loss, terms = total_loss(cfg.task, prediction, _targets(cfg.task, gt), loss_cfg, (h, w))
         value = float(loss.data)
         if not math.isfinite(value):
             grad = (f"last finite grad norm {last_norm[1]:.4g} at step {last_norm[0]}"

@@ -406,10 +406,16 @@ def test_eval_entry_no_parameter_takes_is_one_line_runtime_error(data, depth_ckp
 @pytest.mark.parametrize("flags", [
     ["--steps", "0"], ["--batch", "0"], ["--k", "0"], ["--lr", "nan"],
     ["--eval-every", "-1"],
+    # a checkpoint stores K, steps and batch as float32, exact only up to 2**24
+    ["--k", "100000000"], ["--k", "100000000000000000000"], ["--steps", "16777217"],
+    ["--batch", "16777217"], ["--batch", "10000000000000000000000"],
 ])
-def test_train_family_bad_flag_is_one_line_usage_error(data, tmp_path, capsys, command, flags):
+def test_train_family_bad_flag_is_one_line_usage_error(data, tmp_path, capsys, monkeypatch,
+                                                       command, flags):
+    for fn in ("train", "ablate_k", "compare_baseline"):
+        monkeypatch.setattr(f"pmx.cli.{fn}", _no_work)
     if command == "ablate-k" and flags[0] == "--k":
-        flags = ["--k-list", "4,0"]
+        flags = ["--k-list", "4," + flags[1]]
     argv = [command, "--task", "depth", "--data", data, "--steps", "1", "--batch", "4"]
     if command == "train":
         argv += ["--out", str(tmp_path / "m.pmxc")]
@@ -590,8 +596,8 @@ def test_compare_baseline_prints_both_and_deltas(data, capsys):
     "",
 ], ids=["numpy", "bare"])
 @pytest.mark.parametrize("command,argv", [
-    ("train", ["--k", "100000000"]),
-    ("ablate_k", ["--k-list", "4,100000000"]),
+    ("train", ["--k", "10000000"]),
+    ("ablate_k", ["--k-list", "4,10000000"]),
 ], ids=["train", "ablate-k"])
 def test_running_out_of_memory_is_one_line_runtime_error(data, tmp_path, capsys, monkeypatch,
                                                          command, argv, detail):

@@ -142,7 +142,8 @@ def test_dataset_header_field_out_of_range_is_a_contract_error(tmp_path):
     with pytest.raises(ContractError, match="width 65536"):
         write_dataset(str(path), [_one_row(65536)], 4, 0.5, 10.0)
     for classes, d_min, d_max in ((65536, 0.5, 10.0), (0, 0.5, 10.0), (4, 10.0, 0.5),
-                                  (4, 0.0, 10.0), (4, 0.5, 1e39)):
+                                  (4, 0.0, 10.0), (4, 0.5, 1e39),
+                                  (4, 1.0, 1.0000000001), (4, 1e-50, 10.0)):  # float32: empty, 0
         with pytest.raises(ContractError):
             write_dataset(str(path), [_one_row(4)], classes, d_min, d_max)
     assert not path.exists()

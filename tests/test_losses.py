@@ -316,14 +316,14 @@ def test_total_loss_unknown_task_raises():
 
 
 @pytest.mark.parametrize("bad", [
-    LossConfig(silog_lambda=-0.1),
-    LossConfig(silog_lambda=1.5),
-    LossConfig(grad_scales=0),
-    LossConfig(depth_weights=(1.0, -1.0, 1.0)),
+    dict(silog_lambda=-0.1),
+    dict(silog_lambda=1.5),
+    dict(grad_scales=0),
+    dict(depth_weights=(1.0, -1.0, 1.0)),
 ])
 def test_loss_config_validation(bad):
     with pytest.raises(ContractError):
-        bad.validate()
+        LossConfig(**bad)
 
 
 # ---- gradients ---------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import re
 import tracemalloc
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from pmx.errors import ContractError, FormatError
 from pmx.formats import read_checkpoint, write_checkpoint
 from pmx.losses import LossConfig, total_loss
 from pmx.model import (PRED_KEY, Model, ModelConfig, config_from_meta, load_model,
-                       save_model)
+                       save_model, stored_config)
 from pmx.rng import SplitMix64
 from pmx.tensor import Tensor, _Node
 
@@ -25,15 +26,15 @@ def _images(rng, n=2, size=16):
 
 def test_config_rejects_unknown_task_and_head():
     with pytest.raises(ContractError):
-        ModelConfig(task="pose").validate()
+        ModelConfig(task="pose")
     with pytest.raises(ContractError):
-        ModelConfig(task="seg", head="mlp").validate()
+        ModelConfig(task="seg", head="mlp")
 
 
 def test_seg_cluster_requires_one_query_per_class():
     with pytest.raises(ContractError):
-        ModelConfig(task="seg", k=8, classes=4).validate()
-    ModelConfig(task="seg", k=8, classes=4, head="baseline").validate()
+        ModelConfig(task="seg", k=8, classes=4)
+    ModelConfig(task="seg", k=8, classes=4, head="baseline")
 
 
 # ---- prediction shapes ---------------------------------------------------------------
@@ -324,14 +325,34 @@ def test_config_from_meta_rejects_bad_depth_range(drange):
 
 
 @pytest.mark.parametrize("bad", [
-    ModelConfig(task="depth", k=0),
-    ModelConfig(task="depth", classes=0),
-    ModelConfig(task="depth", d_min=0.0),
-    ModelConfig(task="depth", d_min=2.0, d_max=1.0),
+    dict(k=0),
+    dict(classes=0),
+    dict(d_min=0.0),
+    dict(d_min=2.0, d_max=1.0),
+    dict(k=2**24 + 1),                       # meta/k would read back as 2**24
+    dict(classes=2**24 + 1),
+    dict(k=10**20),
+    dict(d_max=1e39),                        # float32 inf in meta/drange
+    dict(d_min=1.0, d_max=1.0000000001),     # one float32 value
+    dict(d_min=1e-50),                       # float32 zero
 ])
 def test_config_rejects_bad_sizes_and_depth_range(bad):
     with pytest.raises(ContractError):
-        bad.validate()
+        ModelConfig(task="depth", **bad)
+
+
+def test_config_refuses_a_bad_replacement():
+    cfg = ModelConfig(task="depth")
+    with pytest.raises(ContractError, match="K=0"):
+        replace(cfg, k=0)
+    with pytest.raises(ContractError, match="unknown task"):
+        replace(cfg, task="pose")
+
+
+@pytest.mark.parametrize("field", ["k", "classes"])
+def test_counts_up_to_two_to_the_24_round_trip_exactly(field):
+    cfg = ModelConfig(task="depth", **{field: 2**24})
+    assert getattr(stored_config(cfg), field) == 2**24
 
 
 @pytest.mark.parametrize("task,head,key,value", [

@@ -461,10 +461,10 @@ def test_shading_brightens_toward_light():
 
 def test_config_validation_rejects_nonsense():
     with pytest.raises(ContractError):
-        SceneConfig(size=8).validate()
+        SceneConfig(size=8)
     with pytest.raises(ContractError):
-        SceneConfig(size=65536).validate()     # the dataset header stores H, W as u16
-    SceneConfig(size=65535).validate()
+        SceneConfig(size=65536)     # the dataset header stores H, W as u16
+    SceneConfig(size=65535)
 
 
 def test_class_names_cover_the_label_set():

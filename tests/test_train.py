@@ -3,6 +3,7 @@
 import csv
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +11,12 @@ import pytest
 from pmx.errors import ContractError, TrainingDiverged
 from pmx.formats import fnv1a64, read_checkpoint, write_checkpoint
 from pmx.metrics import miou
-from pmx.model import Model, ModelConfig, load_checkpoint, save_model
+from pmx.model import Model, ModelConfig, load_checkpoint, save_model, stored_run
 from pmx.scene import SceneConfig, generate_split
 from pmx.tensor import Tensor, parameter
-from pmx.train import (ENC_LR_MULT, WEIGHT_DECAY, AdamW, TrainConfig, ablate_k,
-                       batch_indices, compare_baseline, epoch_permutation, evaluate,
-                       size_multiple, train, write_trace)
+from pmx.train import (ENC_LR_MULT, EVAL_BATCH, WEIGHT_DECAY, AdamW, TrainConfig,
+                       _run_settings, ablate_k, batch_indices, compare_baseline,
+                       epoch_permutation, evaluate, size_multiple, train, write_trace)
 
 
 # ---- AdamW -------------------------------------------------------------------------
@@ -196,17 +197,41 @@ def test_batch_indices_matches_an_entrywise_walk():
 
 
 @pytest.mark.parametrize("bad", [
-    TrainConfig(task="depth", steps=0),
-    TrainConfig(task="depth", batch=0),
-    TrainConfig(task="depth", lr=-1.0),
-    TrainConfig(task="depth", lr=float("nan")),
-    TrainConfig(task="depth", lr=float("inf")),
-    TrainConfig(task="depth", lr=float("-inf")),
-    TrainConfig(task="depth", eval_every=-1),
+    dict(steps=0),
+    dict(batch=0),
+    dict(lr=-1.0),
+    dict(lr=float("nan")),
+    dict(lr=float("inf")),
+    dict(lr=float("-inf")),
+    dict(eval_every=-1),
+    dict(steps=2**24 + 1),                   # opt/step would read back as 2**24
+    dict(batch=2**24 + 1),                   # train/batch would read back as 2**24
+    dict(batch=10**22),
+    dict(clip_norm=-1.0),
+    dict(clip_norm=float("nan")),
+    dict(clip_norm=float("inf")),
 ])
 def test_train_config_validation(bad):
     with pytest.raises(ContractError):
-        bad.validate()
+        TrainConfig(task="depth", **bad)
+
+
+def test_train_config_refuses_a_bad_replacement():
+    cfg = TrainConfig(task="depth")
+    with pytest.raises(ContractError, match="positive"):
+        replace(cfg, batch=0)
+    with pytest.raises(ContractError, match="clip_norm"):
+        replace(cfg, clip_norm=-1.0)
+
+
+def test_steps_and_batch_of_two_to_the_24_round_trip_exactly():
+    cfg = TrainConfig(task="depth", steps=2**24, batch=2**24)
+    assert stored_run(_run_settings(cfg))["batch"] == [2**24]
+    opt = AdamW({}, cfg.lr)
+    opt.t = cfg.steps
+    again = AdamW({}, cfg.lr)
+    again.load(opt.state())
+    assert again.t == 2**24
 
 
 def test_train_empty_dataset_raises():
@@ -227,12 +252,13 @@ def test_evaluate_oracle_is_perfect(tiny_split):
     assert normal.metrics["mean_deg"] < 1e-5
 
 
-def test_evaluate_seg_scores_through_metrics_miou(tiny_split):
-    samples, _ = tiny_split                  # 8 samples, batch 3: last chunk has 2
+def test_evaluate_seg_scores_through_metrics_miou():
+    samples = generate_split(seed=5, count=11, cfg=SceneConfig(size=16))  # last batch has 3
     model = Model(ModelConfig(task="seg"), seed=0)
-    report = evaluate(model, samples, "seg", batch=3)
+    report = evaluate(model, samples, "seg")
     pred = np.concatenate([model.predict(Tensor(np.stack(
-        [s.image.transpose(2, 0, 1) for s in samples[i:i + 3]]))) for i in range(0, 8, 3)])
+        [s.image.transpose(2, 0, 1) for s in samples[i:i + EVAL_BATCH]])))
+        for i in range(0, len(samples), EVAL_BATCH)])
     gt = np.stack([s.labels for s in samples])
     assert report.metrics["miou"] == miou(pred, gt, 4)[1]
     assert report.pixels == gt.size
