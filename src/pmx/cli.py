@@ -16,7 +16,6 @@ diverging run reports its one error line and nothing else.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import os
 import sys
 from typing import List, Optional
@@ -282,31 +281,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def pin_heap_thresholds() -> bool:
-    """Make glibc keep the heap that each step frees for the next one.
-
-    A train step or an eval batch frees most of its arrays at the end and
-    allocates the same sizes again, and glibc's dynamic thresholds hand
-    that memory back to the OS in between, so the next pass faults it in
-    page by page.  This keeps up to 1 GiB of free heap (M_TRIM_THRESHOLD)
-    and serves blocks below 32 MiB from the heap (M_MMAP_THRESHOLD); set
-    explicitly, neither threshold moves again.  It changes how memory is
-    obtained, never a computed value.  A process-wide setting: call it
-    from an entry point, never at import.  Returns whether both were set;
-    without glibc or ``mallopt`` it does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return False
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    m_trim_threshold, m_mmap_threshold = -1, -3  # glibc's malloc.h
-    return all([mallopt(m_trim_threshold, 1 << 30), mallopt(m_mmap_threshold, 32 << 20)])
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    pin_heap_thresholds()
     args = _parser().parse_args(argv)
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

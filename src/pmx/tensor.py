@@ -20,12 +20,11 @@ has run, its ``.grad``, closure and parents are dropped, so only leaves
 The op set is deliberately closed: elementwise arithmetic, matmul (2D, batched
 3D, and 3D @ 2D), NCHW 3x3 convolution at stride 1 or 2 with padding 1 (the
 padded input held as flat polyphase planes, so that each im2col and col2im
-tap is one contiguous slice; taps lowered in groups, where a conv that
-records a graph copies and holds only the three row taps and reads each
-column tap a column or two on; one gemm per group over the whole batch on
-an output grid a column or two wider than the image), softmax and
-log-softmax, layer norm over the last axis, bilinear 2x upsampling,
-reductions, and a small set of shape ops.
+tap is one contiguous slice; taps lowered in groups that copy only the
+three row taps and read each column tap a column or two on; one gemm per
+group over the whole batch on an output grid a column or two wider than
+the image), softmax and log-softmax, layer norm over the last axis,
+bilinear 2x upsampling, reductions, and a small set of shape ops.
 There is no general broadcasting; the only sanctioned broadcast is the
 trailing bias add in ``bias_add`` and the explicit ``expand_axis`` /
 ``expand_leading`` repeats, whose backward is a sum.
@@ -303,7 +302,7 @@ class Tensor:
 
     def softmax(self, axis: int = -1) -> "Tensor":
         x = self.data
-        shifted = x - x.max(axis=axis, keepdims=True)
+        shifted = x - _axis_max(x, axis)
         e = np.exp(shifted)
         y = e / e.sum(axis=axis, keepdims=True)
 
@@ -316,7 +315,7 @@ class Tensor:
         """x - max - log(sum(exp(x - max))) over one axis, as one node; the
         shift by the detached max leaves the gradient exact."""
         x = self.data
-        shifted = x - x.max(axis=axis, keepdims=True)
+        shifted = x - _axis_max(x, axis)
         e = np.exp(shifted)
         t = e.sum(axis=axis, keepdims=True)
 
@@ -413,30 +412,23 @@ class Tensor:
         "wide" (ho, wq) output grid whose last wq - wo columns wrap into the
         next row.
 
-        The taps are lowered in groups.  A group copies the runs of some taps
-        (i, j), images end to end, into a buffer of rows (Cin, taps) and
-        columns B*ho*wq, plus one zeroed float per shift past the first; the
-        buffer read k columns on is then tap (i, j + s*k) of every copied
-        tap.  A conv that records a graph has one group per column phase
-        c < s, copying the three row taps (i, c), so each column tap j of
-        that phase is read at shift j//s: 3 runs copied and held for
-        backward instead of 9 at stride 1, and 6 instead of 9 at stride 2.
-        A conv without a graph holds nothing and has one group of all nine
-        taps, read at shift 0.  That fork is temporary: its one large
-        buffer keeps glibc's dynamic heap thresholds above what a forward
-        pass frees, so a process that leaves them dynamic, as the benchmark
-        does until it calls ``pmx.cli.pin_heap_thresholds``, does not hand
-        the heap back and fault it in again between passes.  With the
-        thresholds pinned, as ``pmx`` does, the row taps were faster.
+        The taps are lowered in one group per column phase c < s.  A group
+        copies the runs of the three row taps (i, c), images end to end, into
+        a buffer of rows (Cin, 3) and columns B*ho*wq, plus one zeroed float
+        per shift past the first; the buffer read k columns on is then tap
+        (i, c + s*k), so column tap j is read at shift j//s: 3 runs copied
+        instead of 9 at stride 1, and 6 instead of 9 at stride 2.  A conv
+        that records a graph holds the groups for backward; one without a
+        graph drops them with the forward.
 
         Each product is one gemm per group over the whole batch, with the
         weights of every shift stacked: forward multiplies (shifts*Cout,
-        Cin*taps) weights by the buffer and sums row block k read k columns
+        Cin*3) weights by the buffer and sums row block k read k columns
         on, then crops the wide result to (B, Cout, ho, wo) and adds the
         bias.  Backward widens g with zero columns and stacks it once
         per shift, block k moved k columns on; dW is that stack times the
         bufferᵀ, and the stacked weightsᵀ times it is the buffer's gradient,
-        whose rows are added back into the planes at each copied tap's
+        whose rows are added back into the planes at each row tap's
         offset before s² strided copies gather dx.  The wrapped columns of a
         shifted read land on the next row, the next image or the slack, all
         initialized input, and meet only the zero columns of g, so they add
@@ -470,17 +462,10 @@ class Tensor:
         def tap(i, j):
             return (i % stride) * stride + j % stride, (i // stride) * wq + j // stride
         parents = (self, weight) if bias is None else (self, weight, bias)
-        row_taps = _records(parents)  # nine taps without a graph, until the bench pins the heap
-        if row_taps:  # group c copies taps (i, c) and reads taps (i, c + s*k) at shift k
-            copied = [[(i, c) for i in range(3)] for c in range(stride)]
-        else:
-            copied = [[(i, j) for i in range(3) for j in range(3)]]
 
         def by_group(a):
-            # (Cout, Cin, 3, 3) weights as one (shifts, Cout, Cin, taps) view per group
-            if row_taps:
-                return [a.transpose(3, 0, 1, 2)[c::stride] for c in range(stride)]
-            return [a.reshape(1, cout, cin, 9)]
+            # (Cout, Cin, 3, 3) weights as one (shifts, Cout, Cin, 3) view per column phase
+            return [a.transpose(3, 0, 1, 2)[c::stride] for c in range(stride)]
 
         def grid(buf):
             return buf[..., :hq * wq].reshape(cin, stride * stride, bsz, hq, wq)
@@ -488,19 +473,19 @@ class Tensor:
         xgrid = grid(xq)
         for p, (xr, qr), (xc, qc) in phases:
             xgrid[:, p, :, qr, qc] = x[:, :, xr, xc].transpose(1, 0, 2, 3)
-        groups = []  # (taps, shifts, weights (shifts*Cout, Cin*taps), buffer)
-        for taps, wg in zip(copied, by_group(w)):
+        groups = []  # group c: (shifts, weights (shifts*Cout, Cin*3), buffer)
+        for c, wg in enumerate(by_group(w)):  # copies taps (i, c), reads (i, c + s*k) at shift k
             shifts = len(wg)
-            buf = np.empty((cin * len(taps), m + shifts - 1), dtype=x.dtype)
+            buf = np.empty((cin * 3, m + shifts - 1), dtype=x.dtype)
             buf[:, m:] = 0
-            rows = buf[:, :m].reshape(cin, len(taps), bsz, n)
-            for t, (i, j) in enumerate(taps):
-                p, off = tap(i, j)
-                rows[:, t] = xq[:, p, :, off:off + n]
-            groups.append((taps, shifts, np.ascontiguousarray(wg).reshape(shifts * cout, -1), buf))
+            rows = buf[:, :m].reshape(cin, 3, bsz, n)
+            for i in range(3):
+                p, off = tap(i, c)
+                rows[:, i] = xq[:, p, :, off:off + n]
+            groups.append((shifts, np.ascontiguousarray(wg).reshape(shifts * cout, -1), buf))
         del xq, xgrid, rows  # the backward closure keeps only the groups
         yw = None
-        for _, shifts, wg, buf in groups:
+        for shifts, wg, buf in groups:
             prod = wg @ buf  # row block k: the output of the taps read at shift k
             for k in range(shifts):
                 block = prod[k * cout:(k + 1) * cout, k:k + m]
@@ -513,25 +498,25 @@ class Tensor:
             if bn is not None and bn.requires_grad:
                 bn._accum(g.reshape(bsz, cout, ho * wo).sum(axis=(0, 2)), owned=True)
             # row block k: g on the wide grid, k columns on, zero in the wrapped columns
-            most = max(shifts for _, shifts, _, _ in groups)
+            most = max(shifts for shifts, _, _ in groups)
             gk = np.zeros((most, cout, m + most - 1), dtype=g.dtype)
             gk[0, :, :m].reshape(cout, bsz, ho, wq)[..., :wo] = g.transpose(1, 0, 2, 3)
             for k in range(1, most):
                 gk[k, :, k:k + m] = gk[0, :, :m]
             if wn.requires_grad:
                 dw = np.empty(wn.shape, dtype=np.result_type(g, xn.dtype))
-                for (taps, shifts, _, buf), dv in zip(groups, by_group(dw)):
+                for (shifts, _, buf), dv in zip(groups, by_group(dw)):
                     g2 = gk[:shifts, :, :m + shifts - 1].reshape(shifts * cout, -1)
-                    dv[...] = (g2 @ buf.T).reshape(shifts, cout, cin, len(taps))
+                    dv[...] = (g2 @ buf.T).reshape(shifts, cout, cin, 3)
                 wn._accum(dw, owned=True)
             if xn.requires_grad:
                 dxq = np.zeros(planes, dtype=np.result_type(g, wn.dtype))
-                for taps, shifts, wg, _ in groups:
+                for c, (shifts, wg, _) in enumerate(groups):
                     g2 = gk[:shifts, :, :m + shifts - 1].reshape(shifts * cout, -1)
-                    dbuf = (wg.T @ g2)[:, :m].reshape(cin, len(taps), bsz, n)
-                    for t, (i, j) in enumerate(taps):
-                        p, off = tap(i, j)
-                        dxq[:, p, :, off:off + n] += dbuf[:, t]
+                    dbuf = (wg.T @ g2)[:, :m].reshape(cin, 3, bsz, n)
+                    for i in range(3):
+                        p, off = tap(i, c)
+                        dxq[:, p, :, off:off + n] += dbuf[:, i]
                     del dbuf
                 del gk, g2  # free them before dx is allocated
                 dgrid = grid(dxq)
@@ -631,6 +616,16 @@ def _spread(g: np.ndarray, axis: Optional[int], keepdims: bool,
     if axis is not None and not keepdims:
         g = np.expand_dims(g, axis)
     return np.broadcast_to(g, shape).copy()
+
+
+def _axis_max(x: np.ndarray, axis: int) -> np.ndarray:
+    """``x.max(axis=axis, keepdims=True)``, which numpy reduces slowly over
+    a short last axis: over a last axis of at most 8 entries, a chain of
+    ``np.maximum`` over its slices.  Max is exact, so both give the same bits."""
+    n = x.shape[axis]
+    if not 0 < n <= 8 or axis % x.ndim != x.ndim - 1:
+        return x.max(axis=axis, keepdims=True)
+    return functools.reduce(np.maximum, [x[..., k:k + 1] for k in range(n)])
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:

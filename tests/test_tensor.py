@@ -9,6 +9,7 @@ import pytest
 from pmx import precision
 from pmx import tensor as tensor_mod
 from pmx.errors import ContractError, ShapeError
+from pmx.model import PRED_KEY, Model, ModelConfig
 from pmx.rng import SplitMix64
 from pmx.tensor import Tensor, _Node, bias_add, no_grad, one_hot, parameter
 
@@ -238,7 +239,7 @@ def test_conv2d_reads_only_initialized_memory(monkeypatch, stride, cin, cout):
     # every np.empty/np.empty_like array starts as NaN.  The wrapped columns
     # of a shifted view read the next image or the buffer's slack, and
     # backward multiplies them by a zero gradient: 0 * NaN would show in dW.
-    # The forward without a graph runs the nine-tap group
+    # The forward without a graph copies the same row taps
     x, wt, b, g = (a.astype(np.float32) for a in _conv_case(97, 3, cin, cout, 9, 7, stride))
     clean = _run_conv(x, wt, b, g, stride)
 
@@ -261,6 +262,37 @@ def test_conv2d_reads_only_initialized_memory(monkeypatch, stride, cin, cout):
     for a, c in zip(clean, _run_conv(x, wt, b, g, stride)):
         assert np.array_equal(a, c)
     assert np.array_equal(forward(), clean_forward)
+
+
+def _conv_forwards(stride, cin, cout):
+    x, wt, b, _ = (a.astype(np.float32) for a in _conv_case(98, 3, cin, cout, 9, 7, stride))
+    with no_grad():
+        plain = Tensor(x).conv2d(Tensor(wt), Tensor(b), stride=stride)
+    recorded = parameter(x).conv2d(parameter(wt), parameter(b), stride=stride)
+    return plain, recorded
+
+
+def _predict_forwards(task):
+    model = Model(ModelConfig(task=task), seed=0)
+    images = Tensor(np.random.default_rng(7).uniform(0.0, 1.0, size=(2, 3, 16, 16)))
+    recorded = model.train_outputs(images)[PRED_KEY[task]]
+    plain = model.predict(images)
+    return Tensor(plain), recorded.reshape(plain.shape)
+
+
+@pytest.mark.parametrize("forwards", [
+    pytest.param(lambda: _conv_forwards(1, 5, 3), id="conv_s1_cin_ge_cout"),
+    pytest.param(lambda: _conv_forwards(1, 3, 5), id="conv_s1_cin_lt_cout"),
+    pytest.param(lambda: _conv_forwards(2, 5, 3), id="conv_s2_cin_ge_cout"),
+    pytest.param(lambda: _conv_forwards(2, 3, 5), id="conv_s2_cin_lt_cout"),
+    pytest.param(lambda: _predict_forwards("depth"), id="predict_depth"),
+    pytest.param(lambda: _predict_forwards("normal"), id="predict_normal"),
+])
+def test_forward_without_a_graph_matches_the_recorded_one(forwards):
+    plain, recorded = forwards()
+    assert recorded.requires_grad and not plain.requires_grad
+    assert plain.dtype == recorded.dtype == np.float32
+    assert np.array_equal(plain.data, recorded.data)
 
 
 def _held_bytes(fn):
@@ -311,6 +343,32 @@ def test_log_softmax_matches_float64_reference_and_stays_finite():
         sums = np.exp(y.data.astype(np.float64)).sum(axis=axis)
         np.testing.assert_allclose(sums, 1.0, atol=1e-6)
         assert y._parents == (p,)  # one node, straight on its input
+
+
+@pytest.mark.parametrize("shape", [(6, 1), (6, 2), (5, 3, 4), (4, 8), (4, 9), (2, 3, 256)])
+def test_short_axis_max_is_bit_identical_to_a_reduction(shape):
+    # a last axis of at most 8 entries takes its max as a chain of
+    # np.maximum, a longer or inner one as a reduction: the same bits either way
+    x = _n(64, *shape).astype(np.float32) * 3.0
+    rows = x.reshape(-1, shape[-1])
+    rows[0] = rows[0, 0]  # every entry tied
+    rows[1, ::2] = 1.5e38  # large finite magnitudes, a tie among them
+    rows[1, 1::2] = -1.5e38
+    rows[2, :2] = -0.0
+    rows[2, 2:] = -1e-40  # subnormal
+    rows[3, -1] = 100.0  # the max in the last entry
+    edges = np.array([np.finfo(np.float32).max, -np.finfo(np.float32).max, 0.0, -0.0])
+    for a in (x, np.resize(edges, shape).astype(np.float32)):
+        for axis in range(-a.ndim, a.ndim):
+            want = a.max(axis=axis, keepdims=True)
+            got = tensor_mod._axis_max(a, axis)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    t = e.sum(axis=-1, keepdims=True)
+    assert np.array_equal(Tensor(x).softmax(axis=-1).data, e / t)
+    assert np.array_equal(Tensor(x).log_softmax(axis=-1).data, shifted - np.log(t))
 
 
 def test_one_hot_is_constant_and_exact():
