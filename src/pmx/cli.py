@@ -27,12 +27,12 @@ from .backbone import STRIDE
 from .errors import ContractError, FormatError, TrainingDiverged
 from .formats import DatasetHeader, read_dataset, write_dataset
 from .metrics import METRIC_KEYS
-from .model import HEAD_KINDS, TASKS, VARIANTS, load_model
+from .model import HEAD_KINDS, TASKS, VARIANTS, ModelConfig, load_model
 from .scene import (CLASS_NAMES, D_MAX, D_MIN, LIGHT, N_CLASSES, NOISE_STD, NUM_PRIMS_MAX,
                     NUM_PRIMS_MIN, SceneConfig, generate_split)
 from .tensor import Tensor
-from .train import (LR_PRESETS, TrainConfig, _batch, ablate_k, compare_baseline,
-                    evaluate, model_config, size_multiple, train)
+from .train import (LR_PRESETS, TrainConfig, _batch, ablate_k, compare_baseline, evaluate,
+                    size_multiple, train)
 
 
 class UsageError(Exception):
@@ -142,20 +142,18 @@ def cmd_generate(args) -> int:
 
 
 def _train_config(args, header, **override) -> TrainConfig:
-    """The TrainConfig the train-family flags ask for, with any override
-    applied; a setting that TrainConfig or ModelConfig refuses when built
-    is a UsageError."""
-    fields = dict(
-        task=args.task, steps=args.steps, batch=args.batch, lr=args.lr,
-        seed=args.seed, k=args.k, variant=args.variant, head=args.head,
-        eval_every=args.eval_every, clip_norm=0.0 if args.no_clip else TrainConfig.clip_norm,
-    )
+    """The TrainConfig the train-family flags and the --data header ask for,
+    with any model override applied; a setting that ModelConfig or
+    TrainConfig refuses when built is a UsageError."""
+    model = dict(task=args.task, k=args.k, variant=args.variant, head=args.head,
+                 classes=header.classes, d_min=header.d_min, d_max=header.d_max)
     try:
-        cfg = TrainConfig(**{**fields, **override})
-        model_config(cfg, header.classes, header.d_min, header.d_max)
+        return TrainConfig(ModelConfig(**{**model, **override}), steps=args.steps,
+                           batch=args.batch, lr=args.lr, seed=args.seed,
+                           eval_every=args.eval_every,
+                           clip_norm=0.0 if args.no_clip else TrainConfig.clip_norm)
     except ContractError as exc:
         raise UsageError(str(exc)) from exc
-    return cfg
 
 
 def _read_val(args, header: DatasetHeader, default=None):
@@ -181,11 +179,10 @@ def cmd_train(args) -> int:
     header, samples = read_dataset(args.data)
     cfg = _train_config(args, header)
     val = _read_val(args, header)
-    result = train(samples, cfg, classes=header.classes, d_min=header.d_min,
-                   d_max=header.d_max, val_samples=val, out_path=args.out,
+    result = train(samples, cfg, val_samples=val, out_path=args.out,
                    trace_path=args.trace, resume_from=args.resume)
     last = result.trace[-1] if result.trace else (0, float("nan"), {})
-    print(f"trained {cfg.task} for {cfg.steps} steps; final loss {last[1]:.6g}; "
+    print(f"trained {cfg.model.task} for {cfg.steps} steps; final loss {last[1]:.6g}; "
           f"checkpoint {args.out}")
     if result.final_report is not None:
         print(result.final_report.to_json())
@@ -259,8 +256,7 @@ def cmd_ablate(args) -> int:
     for k in k_list:
         cfg = _train_config(args, header, k=k)
     val = _read_val(args, header, samples)
-    rows = ablate_k(samples, cfg, k_list, val,
-                    classes=header.classes, d_min=header.d_min, d_max=header.d_max)
+    rows = ablate_k(samples, cfg, k_list, val)
     for k, report in rows:
         print(f"K={k} {report.to_json()}")
     return 0
@@ -271,8 +267,7 @@ def cmd_compare(args) -> int:
     # the cluster run's checks include the baseline's
     cfg = _train_config(args, header, head="cluster")
     val = _read_val(args, header, samples)
-    pair = compare_baseline(samples, cfg, val,
-                            classes=header.classes, d_min=header.d_min, d_max=header.d_max)
+    pair = compare_baseline(samples, cfg, val)
     for name in ("cluster", "baseline"):
         print(f"{name} {pair[name].to_json()}")
     for key in METRIC_KEYS[args.task]:

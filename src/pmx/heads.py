@@ -119,13 +119,15 @@ class NormalHead(ClusterMLP):
     OUT = 3
 
     def __call__(self, q: Tensor) -> Tensor:
-        return _unit(self.values(q), axis=-1)
+        return _unit(self.values(q), axis=-1)[0]
 
 
-def _unit(v: Tensor, axis: int) -> Tensor:
-    """v scaled to unit length along ``axis`` (norms clamped at 1e-8)."""
-    norm = (v * v).sum(axis=axis, keepdims=True).sqrt().clamp_min(1e-8)
-    return v / norm.expand_axis(axis, v.shape[axis])
+def _unit(v: Tensor, axis: int) -> Tuple[Tensor, np.ndarray]:
+    """v scaled to unit length along ``axis`` (norms clamped at 1e-8), and
+    the unclamped norms without ``axis`` (numpy, no gradient)."""
+    norm = (v * v).sum(axis=axis, keepdims=True).sqrt()
+    unit = v / norm.clamp_min(1e-8).expand_axis(axis, v.shape[axis])
+    return unit, norm.data.squeeze(axis)
 
 
 def normal_compose(p: Tensor, v: Tensor, grid: Tuple[int, int]) -> Tuple[Tensor, np.ndarray]:
@@ -145,9 +147,8 @@ def normal_compose(p: Tensor, v: Tensor, grid: Tuple[int, int]) -> Tuple[Tensor,
     """
     if p.shape[-1] != v.shape[1] or p.shape[0] != v.shape[0]:
         raise ShapeError(f"probability map {p.shape} vs segment centers {v.shape}")
-    raw = upsample_planes(p.matmul(v), grid)
-    prenorm = np.sqrt((raw.data ** 2).sum(axis=1))
-    return _unit(raw, axis=1).transpose_last2(), prenorm
+    n, prenorm = _unit(upsample_planes(p.matmul(v), grid), axis=1)
+    return n.transpose_last2(), prenorm
 
 
 class BaselineHead:
@@ -174,4 +175,4 @@ class BaselineHead:
             b, _, n = planes.shape
             s = planes.reshape(b, n).sigmoid()
             return s * (self.d_max - self.d_min) + self.d_min
-        return _unit(planes, axis=1).transpose_last2()    # (B, HW, 3)
+        return _unit(planes, axis=1)[0].transpose_last2()  # (B, HW, 3)

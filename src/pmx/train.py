@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import os
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,21 +45,26 @@ BETA1, BETA2 = 0.9, 0.999
 ADAM_EPS = 1e-8
 EVAL_BATCH = 8  # samples that evaluate predicts at a time
 
+try:    # physical memory in bytes; None where the OS does not say, and then no batch check
+    PHYS_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+except (AttributeError, ValueError, OSError):
+    PHYS_MEMORY = None
+
 
 @dataclass(frozen=True)
 class TrainConfig:
-    task: str
+    """One training run: the model it trains and the schedule."""
+    model: ModelConfig
     steps: int = 1000
     batch: int = 8
     lr: float = LR_PRESETS["pretrain"]
     seed: int = 0
-    k: int = 4
-    variant: str = "kmeans"
-    head: str = "cluster"
     eval_every: int = 0          # 0: evaluate only at the end
     clip_norm: float = 10.0      # 0 disables clipping
 
     def __post_init__(self) -> None:
+        if not isinstance(self.model, ModelConfig):
+            raise ContractError(f"TrainConfig.model must be a ModelConfig, got {self.model!r}")
         if self.steps < 1 or self.batch < 1:
             raise ContractError("steps and batch size must be positive")
         if max(self.steps, self.batch) > F32_EXACT_MAX:
@@ -243,13 +249,6 @@ def size_multiple(task: str) -> int:
     return STRIDE
 
 
-def model_config(cfg: TrainConfig, classes: int, d_min: float, d_max: float) -> ModelConfig:
-    """The model a fresh ``train`` run builds for cfg on a dataset with these
-    classes and depth range."""
-    return ModelConfig(task=cfg.task, k=cfg.k, variant=cfg.variant, head=cfg.head,
-                       classes=classes, d_min=d_min, d_max=d_max)
-
-
 _SEED_LIMBS = (48, 32, 16, 0)
 
 
@@ -276,13 +275,12 @@ def _shown(name: str, values: Optional[List[float]]) -> str:
     return ", ".join(f"{v:g}" for v in values)
 
 
-def _check_resume(model: Model, stored: Dict[str, List[float]], cfg: TrainConfig,
-                  classes: int, d_min: float, d_max: float) -> None:
+def _check_resume(model: Model, stored: Dict[str, List[float]], cfg: TrainConfig) -> None:
     """Refuse a checkpoint whose model or training settings differ from this
     run's, naming each differing field.  Files without ``train/`` entries
     (version 1, or version 2 written before they existed) are checked for
     the model only."""
-    want = stored_config(model_config(cfg, classes, d_min, d_max))
+    want = stored_config(cfg.model)
     diff = [f"{f.name} {getattr(model.cfg, f.name)!r} (this run: {getattr(want, f.name)!r})"
             for f in fields(ModelConfig) if getattr(model.cfg, f.name) != getattr(want, f.name)]
     if diff:
@@ -307,23 +305,25 @@ def write_trace(path: str, trace: List[Tuple[int, float, Dict[str, float]]]) -> 
             out.writerow([step, f"{total:.8g}"] + [f"{terms[k]:.8g}" for k in keys])
 
 
-def train(samples: Sequence[Sample], cfg: TrainConfig, classes: int = 4,
-          d_min: float = 0.5, d_max: float = 10.0,
-          val_samples: Sequence[Sample] = None,
-          out_path: str = None, trace_path: str = None,
-          resume_from: str = None) -> TrainResult:
+def train(samples: Sequence[Sample], cfg: TrainConfig, val_samples: Sequence[Sample] = None,
+          out_path: str = None, trace_path: str = None, resume_from: str = None) -> TrainResult:
     if len(samples) == 0:
         raise ContractError("training needs a nonempty dataset")
+    task = cfg.model.task
     h, w = samples[0].labels.shape
-    multiple = size_multiple(cfg.task)
+    multiple = size_multiple(task)
     if h % multiple or w % multiple:
-        raise ContractError(f"{cfg.task} training needs image sides that are multiples of "
+        raise ContractError(f"{task} training needs image sides that are multiples of "
                             f"{multiple}, got {h}x{w}")
+    need = cfg.batch * 3 * h * w * 4        # the batch's float32 image stack alone
+    if PHYS_MEMORY is not None and need > PHYS_MEMORY:
+        raise MemoryError(f"a batch of {cfg.batch} {h}x{w} images needs {need / 2**30:.3g} GiB, "
+                          f"more than the {PHYS_MEMORY / 2**30:.3g} GiB of physical memory")
     if resume_from is None:
-        model, opt_state = Model(model_config(cfg, classes, d_min, d_max), seed=cfg.seed), None
+        model, opt_state = Model(cfg.model, seed=cfg.seed), None
     else:
         model, opt_state, stored = load_checkpoint(resume_from)
-        _check_resume(model, stored, cfg, classes, d_min, d_max)
+        _check_resume(model, stored, cfg)
     opt = AdamW(model.params(), cfg.lr)
     if opt_state is not None:
         opt.load(opt_state)     # a checkpoint without opt/ entries fails here
@@ -333,7 +333,7 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, classes: int = 4,
     trace: List[Tuple[int, float, Dict[str, float]]] = []
     reports: List[Tuple[int, MetricReport]] = []
     best: Tuple[float, int] = None
-    best_hi = PRIMARY_METRIC[cfg.task][1]
+    best_hi = PRIMARY_METRIC[task][1]
     last_norm: Tuple[int, float] = None   # (step, pre-clip norm) of the last finite one
     loss_cfg = LossConfig()
 
@@ -349,9 +349,9 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, classes: int = 4,
 
     for step in range(opt.t, cfg.steps):
         idx = batch_indices(cfg.seed, len(samples), cfg.batch, step)
-        images, gt = _batch(samples, idx, cfg.task)
-        prediction = model.train_outputs(Tensor(images))[PRED_KEY[cfg.task]]
-        loss, terms = total_loss(cfg.task, prediction, _targets(cfg.task, gt), loss_cfg, (h, w))
+        images, gt = _batch(samples, idx, task)
+        prediction = model.train_outputs(Tensor(images))[PRED_KEY[task]]
+        loss, terms = total_loss(task, prediction, _targets(task, gt), loss_cfg, (h, w))
         value = float(loss.data)
         if not math.isfinite(value):
             grad = (f"last finite grad norm {last_norm[1]:.4g} at step {last_norm[0]}"
@@ -368,9 +368,9 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, classes: int = 4,
         trace.append((step, value, terms))
         if (cfg.eval_every and val_samples is not None
                 and (step + 1) % cfg.eval_every == 0 and step + 1 < cfg.steps):
-            record(step + 1, evaluate(model, val_samples, cfg.task))
+            record(step + 1, evaluate(model, val_samples, task))
 
-    final_report = evaluate(model, val_samples, cfg.task) if val_samples is not None else None
+    final_report = evaluate(model, val_samples, task) if val_samples is not None else None
     if final_report is not None:
         record(cfg.steps, final_report)
     if out_path:
@@ -385,20 +385,19 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, classes: int = 4,
 
 
 def ablate_k(samples: Sequence[Sample], cfg: TrainConfig, k_list: Sequence[int],
-             val_samples: Sequence[Sample], **kw) -> List[Tuple[int, MetricReport]]:
-    """One run per K with a shared seed and schedule."""
+             val_samples: Sequence[Sample]) -> List[Tuple[int, MetricReport]]:
+    """One run per K with a shared seed and schedule, every K checked before the first."""
     if not k_list:
         raise ContractError("ablation needs at least one K")
-    out = []
-    for k in k_list:
-        res = train(samples, replace(cfg, k=k), val_samples=val_samples, **kw)
-        out.append((k, res.final_report))
-    return out
+    runs = [replace(cfg, model=replace(cfg.model, k=k)) for k in k_list]
+    return [(run.model.k, train(samples, run, val_samples=val_samples).final_report)
+            for run in runs]
 
 
 def compare_baseline(samples: Sequence[Sample], cfg: TrainConfig,
-                     val_samples: Sequence[Sample], **kw) -> Dict[str, MetricReport]:
-    """Cluster head vs per-pixel regression baseline, same schedule."""
-    cluster = train(samples, replace(cfg, head="cluster"), val_samples=val_samples, **kw)
-    baseline = train(samples, replace(cfg, head="baseline"), val_samples=val_samples, **kw)
-    return {"cluster": cluster.final_report, "baseline": baseline.final_report}
+                     val_samples: Sequence[Sample]) -> Dict[str, MetricReport]:
+    """Cluster head vs per-pixel regression baseline, same schedule, both
+    checked before the first run."""
+    runs = [replace(cfg, model=replace(cfg.model, head=h)) for h in ("cluster", "baseline")]
+    return {run.model.head: train(samples, run, val_samples=val_samples).final_report
+            for run in runs}

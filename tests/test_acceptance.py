@@ -325,16 +325,16 @@ def test_determinism_and_resume(tmp_path):
         assert a.normal.tobytes() == b.normal.tobytes()
 
     small = generate_split(5, 8, SceneConfig(size=16))
-    cfg = TrainConfig(task="depth", steps=12, batch=4, seed=3)
+    cfg = TrainConfig(ModelConfig("depth"), steps=12, batch=4, seed=3)
     t1 = train(small, cfg).trace
     t2 = train(small, cfg).trace
     assert [(s, v) for s, v, _ in t1] == [(s, v) for s, v, _ in t2]
 
     ckpt = str(tmp_path / "mid.ckpt")
-    train(small, TrainConfig(task="depth", steps=10, batch=4, seed=3), out_path=ckpt)
-    resumed = train(small, TrainConfig(task="depth", steps=20, batch=4, seed=3),
+    train(small, TrainConfig(ModelConfig("depth"), steps=10, batch=4, seed=3), out_path=ckpt)
+    resumed = train(small, TrainConfig(ModelConfig("depth"), steps=20, batch=4, seed=3),
                     resume_from=ckpt)
-    solid = train(small, TrainConfig(task="depth", steps=20, batch=4, seed=3))
+    solid = train(small, TrainConfig(ModelConfig("depth"), steps=20, batch=4, seed=3))
     assert abs(resumed.trace[-1][1] - solid.trace[-1][1]) < 1e-6
 
 
@@ -354,7 +354,7 @@ def matrix():
             if head == "baseline" and task == "normal":
                 continue
             for seed in SEEDS:
-                cfg = TrainConfig(task=task, steps=TRAIN_STEPS, seed=seed, head=head)
+                cfg = TrainConfig(ModelConfig(task, head=head), steps=TRAIN_STEPS, seed=seed)
                 t0 = time.monotonic()
                 res = train(train_s, cfg, val_samples=val_s)
                 longest = max(longest, time.monotonic() - t0)
@@ -364,7 +364,7 @@ def matrix():
     # K=4 is the default, so its ablation run would repeat the ("cluster",
     # "depth", 0) run above (same TrainConfig, data, and seed): reuse it
     ablation = [(4, runs[("cluster", "depth", 0)])] + ablate_k(
-        train_s, TrainConfig(task="depth", steps=TRAIN_STEPS, seed=0), (8, 16), val_s)
+        train_s, TrainConfig(ModelConfig("depth"), steps=TRAIN_STEPS, seed=0), (8, 16), val_s)
     untrained = {task: evaluate(Model(ModelConfig(task=task), seed=0), val_s, task)
                  for task in ("seg", "depth", "normal")}
     return {"runs": runs, "ablation": ablation, "untrained": untrained,

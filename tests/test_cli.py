@@ -614,6 +614,18 @@ def test_running_out_of_memory_is_one_line_runtime_error(data, tmp_path, capsys,
     assert detail in err and not out.exists()
 
 
+def test_a_batch_larger_than_memory_is_one_line_runtime_error(data, tmp_path, capsys,
+                                                             monkeypatch):
+    monkeypatch.setattr("pmx.train.PHYS_MEMORY", 1 << 10)
+    monkeypatch.setattr("pmx.train.Model", _no_work)
+    out = tmp_path / "m.pmxc"
+    assert main(["train", "--task", "depth", "--data", data, "--steps", "1", "--batch", "8",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert _is_one_error_line(err) and err.startswith("error: out of memory: a batch of 8 16x16")
+    assert not out.exists()
+
+
 def test_missing_required_flag_exits_two(data):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--data", data])

@@ -213,11 +213,11 @@ def test_batch_indices_matches_an_entrywise_walk():
 ])
 def test_train_config_validation(bad):
     with pytest.raises(ContractError):
-        TrainConfig(task="depth", **bad)
+        TrainConfig(ModelConfig("depth"), **bad)
 
 
 def test_train_config_refuses_a_bad_replacement():
-    cfg = TrainConfig(task="depth")
+    cfg = TrainConfig(ModelConfig("depth"))
     with pytest.raises(ContractError, match="positive"):
         replace(cfg, batch=0)
     with pytest.raises(ContractError, match="clip_norm"):
@@ -225,7 +225,7 @@ def test_train_config_refuses_a_bad_replacement():
 
 
 def test_steps_and_batch_of_two_to_the_24_round_trip_exactly():
-    cfg = TrainConfig(task="depth", steps=2**24, batch=2**24)
+    cfg = TrainConfig(ModelConfig("depth"), steps=2**24, batch=2**24)
     assert stored_run(_run_settings(cfg))["batch"] == [2**24]
     opt = AdamW({}, cfg.lr)
     opt.t = cfg.steps
@@ -236,7 +236,42 @@ def test_steps_and_batch_of_two_to_the_24_round_trip_exactly():
 
 def test_train_empty_dataset_raises():
     with pytest.raises(ContractError):
-        train([], TrainConfig(task="depth", steps=1))
+        train([], TrainConfig(ModelConfig("depth"), steps=1))
+
+
+def test_train_config_refuses_a_model_that_is_not_a_model_config():
+    with pytest.raises(ContractError, match="must be a ModelConfig, got 'depth'"):
+        TrainConfig("depth")
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the request was checked")
+
+
+@pytest.mark.parametrize("batch,refused", [(341, False), (342, True)])
+def test_a_batch_whose_images_exceed_memory_is_refused_before_any_work(monkeypatch, batch,
+                                                                       refused):
+    # a 16x16 float32 image takes 3 KiB, so 341 fit in 1 MiB and 342 do not
+    monkeypatch.setattr("pmx.train.PHYS_MEMORY", 1 << 20)
+    monkeypatch.setattr("pmx.train.Model", _no_work)
+    monkeypatch.setattr("pmx.train.batch_indices", _no_work)
+    samples = generate_split(0, 2, SceneConfig(size=16))
+    cfg = TrainConfig(ModelConfig("depth"), steps=1, batch=batch)
+    if refused:
+        error, words = MemoryError, ("a batch of 342 16x16 images needs 0.000978 GiB, "
+                                     "more than the 0.000977 GiB of physical memory")
+    else:
+        error, words = AssertionError, "work started"
+    with pytest.raises(error, match=re.escape(words)):
+        train(samples, cfg)
+
+
+def test_without_a_memory_probe_no_batch_is_refused(monkeypatch):
+    monkeypatch.setattr("pmx.train.PHYS_MEMORY", None)
+    monkeypatch.setattr("pmx.train.Model", _no_work)
+    with pytest.raises(AssertionError, match="work started"):
+        train(generate_split(0, 2, SceneConfig(size=16)),
+              TrainConfig(ModelConfig("depth"), steps=1, batch=2**24))
 
 
 # ---- evaluation --------------------------------------------------------------------
@@ -290,18 +325,18 @@ def test_depth_images_the_gradient_loss_cannot_pool_are_refused_before_a_model(m
     monkeypatch.setattr("pmx.train.Model", no_model)
     samples = generate_split(0, 2, SceneConfig(size=20))
     with pytest.raises(ContractError, match="multiples of 8, got 20x20"):
-        train(samples, TrainConfig(task="depth", steps=1, batch=2))
+        train(samples, TrainConfig(ModelConfig("depth"), steps=1, batch=2))
 
 
 @pytest.mark.parametrize("task", ["seg", "normal"])
 def test_tasks_without_pooling_train_on_twenty_pixel_images(task):
     samples = generate_split(0, 2, SceneConfig(size=20))
-    assert len(train(samples, TrainConfig(task=task, steps=1, batch=2)).trace) == 1
+    assert len(train(samples, TrainConfig(ModelConfig(task), steps=1, batch=2)).trace) == 1
 
 
 def test_identical_seeds_identical_traces(tiny_split):
     samples, _ = tiny_split
-    cfg = TrainConfig(task="depth", steps=8, batch=4, seed=11)
+    cfg = TrainConfig(ModelConfig("depth"), steps=8, batch=4, seed=11)
     a = train(samples, cfg)
     b = train(samples, cfg)
     assert [t[1] for t in a.trace] == [t[1] for t in b.trace]
@@ -309,16 +344,16 @@ def test_identical_seeds_identical_traces(tiny_split):
 
 def test_different_seeds_different_traces(tiny_split):
     samples, _ = tiny_split
-    a = train(samples, TrainConfig(task="depth", steps=4, batch=4, seed=0))
-    b = train(samples, TrainConfig(task="depth", steps=4, batch=4, seed=1))
+    a = train(samples, TrainConfig(ModelConfig("depth"), steps=4, batch=4, seed=0))
+    b = train(samples, TrainConfig(ModelConfig("depth"), steps=4, batch=4, seed=1))
     assert [t[1] for t in a.trace] != [t[1] for t in b.trace]
 
 
 def test_resume_matches_uninterrupted(tiny_split, tmp_path):
     samples, _ = tiny_split
     ckpt = str(tmp_path / "mid.ckpt")
-    cfg_half = TrainConfig(task="depth", steps=10, batch=4, seed=3)
-    cfg_full = TrainConfig(task="depth", steps=20, batch=4, seed=3)
+    cfg_half = TrainConfig(ModelConfig("depth"), steps=10, batch=4, seed=3)
+    cfg_full = TrainConfig(ModelConfig("depth"), steps=20, batch=4, seed=3)
     train(samples, cfg_half, out_path=ckpt)
     resumed = train(samples, cfg_full, resume_from=ckpt)
     solid = train(samples, cfg_full)
@@ -333,9 +368,9 @@ def test_resume_matches_uninterrupted(tiny_split, tmp_path):
 def test_resume_task_mismatch_raises(tiny_split, tmp_path):
     samples, _ = tiny_split
     ckpt = str(tmp_path / "seg.ckpt")
-    train(samples, TrainConfig(task="seg", steps=2, batch=4), out_path=ckpt)
+    train(samples, TrainConfig(ModelConfig("seg"), steps=2, batch=4), out_path=ckpt)
     with pytest.raises(ContractError):
-        train(samples, TrainConfig(task="depth", steps=4, batch=4), resume_from=ckpt)
+        train(samples, TrainConfig(ModelConfig("depth"), steps=4, batch=4), resume_from=ckpt)
 
 
 @pytest.mark.parametrize("steps", [2, 1], ids=["at_the_step", "before_it"])
@@ -343,28 +378,28 @@ def test_resume_with_no_steps_left_is_refused_before_anything_is_written(tiny_sp
                                                                         steps):
     samples, _ = tiny_split
     ckpt = str(tmp_path / "a.pmxc")
-    train(samples, TrainConfig(task="seg", steps=2, batch=4), out_path=ckpt)
+    train(samples, TrainConfig(ModelConfig("seg"), steps=2, batch=4), out_path=ckpt)
     out, trace = tmp_path / "b.pmxc", tmp_path / "b.csv"
     with pytest.raises(ContractError, match=f"step 2, so a run of {steps} steps"):
-        train(samples, TrainConfig(task="seg", steps=steps, batch=4, eval_every=1),
+        train(samples, TrainConfig(ModelConfig("seg"), steps=steps, batch=4, eval_every=1),
               val_samples=samples[:2], out_path=str(out), trace_path=str(trace),
               resume_from=ckpt)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pmxc"]
 
 
 @pytest.mark.parametrize("change,named", [
-    (dict(cfg=dict(k=8)), ["k 4"]),
-    (dict(cfg=dict(variant="standard", head="baseline")), ["variant", "head"]),
+    (dict(k=8), ["k 4"]),
+    (dict(variant="standard", head="baseline"), ["variant", "head"]),
     (dict(classes=5), ["classes 4"]),
     (dict(d_min=0.25, d_max=12.0), ["d_min 0.5", "d_max 10.0"]),
 ])
 def test_resume_refuses_a_different_model(tiny_split, tmp_path, change, named):
     samples, _ = tiny_split
     ckpt = str(tmp_path / "depth.ckpt")
-    train(samples, TrainConfig(task="depth", steps=2, batch=4), out_path=ckpt)
-    cfg = TrainConfig(task="depth", steps=4, batch=4, **change.pop("cfg", {}))
+    train(samples, TrainConfig(ModelConfig("depth"), steps=2, batch=4), out_path=ckpt)
+    cfg = TrainConfig(ModelConfig("depth", **change), steps=4, batch=4)
     with pytest.raises(ContractError, match="different model") as err:
-        train(samples, cfg, resume_from=ckpt, **change)
+        train(samples, cfg, resume_from=ckpt)
     for word in named:
         assert word in str(err.value)
     assert "task" not in str(err.value)
@@ -373,12 +408,12 @@ def test_resume_refuses_a_different_model(tiny_split, tmp_path, change, named):
 def test_resume_with_float32_inexact_depth_range_continues_bit_identically(tiny_split, tmp_path):
     # 0.3 and 9.7 are not float32 values; the checkpoint stores their roundings
     samples, _ = tiny_split
-    rng = dict(d_min=0.3, d_max=9.7)
+    model = ModelConfig("depth", d_min=0.3, d_max=9.7)
     ckpt = str(tmp_path / "mid.ckpt")
-    train(samples, TrainConfig(task="depth", steps=3, batch=4, seed=2), out_path=ckpt, **rng)
-    full = TrainConfig(task="depth", steps=6, batch=4, seed=2)
-    resumed = train(samples, full, resume_from=ckpt, **rng)
-    solid = train(samples, full, **rng)
+    train(samples, TrainConfig(model, steps=3, batch=4, seed=2), out_path=ckpt)
+    full = TrainConfig(model, steps=6, batch=4, seed=2)
+    resumed = train(samples, full, resume_from=ckpt)
+    solid = train(samples, full)
     assert resumed.trace == [t for t in solid.trace if t[0] >= 3]
 
 
@@ -391,9 +426,9 @@ def test_resume_with_float32_inexact_depth_range_continues_bit_identically(tiny_
 def test_resume_refuses_different_training_settings(tiny_split, tmp_path, change, named):
     samples, _ = tiny_split
     ckpt = str(tmp_path / "depth.ckpt")
-    train(samples, TrainConfig(task="depth", steps=2, batch=4), out_path=ckpt)
+    train(samples, TrainConfig(ModelConfig("depth"), steps=2, batch=4), out_path=ckpt)
     with pytest.raises(ContractError, match="different settings") as err:
-        train(samples, TrainConfig(task="depth", steps=4, **{"batch": 4, **change}),
+        train(samples, TrainConfig(ModelConfig("depth"), steps=4, **{"batch": 4, **change}),
               resume_from=ckpt)
     for words in named:
         assert words in str(err.value)
@@ -404,11 +439,11 @@ def test_resume_tells_apart_seeds_float32_cannot(tiny_split, tmp_path):
     # 2**40 and 2**40 + 1 are the same float32; the seed's 16-bit limbs are not
     samples, _ = tiny_split
     ckpt = str(tmp_path / "depth.ckpt")
-    train(samples, TrainConfig(task="depth", steps=1, batch=4, seed=2**40), out_path=ckpt)
+    train(samples, TrainConfig(ModelConfig("depth"), steps=1, batch=4, seed=2**40), out_path=ckpt)
     with pytest.raises(ContractError, match=f"seed {2**40} \\(this run: {2**40 + 1}\\)"):
-        train(samples, TrainConfig(task="depth", steps=2, batch=4, seed=2**40 + 1),
+        train(samples, TrainConfig(ModelConfig("depth"), steps=2, batch=4, seed=2**40 + 1),
               resume_from=ckpt)
-    resumed = train(samples, TrainConfig(task="depth", steps=2, batch=4, seed=2**40),
+    resumed = train(samples, TrainConfig(ModelConfig("depth"), steps=2, batch=4, seed=2**40),
                     resume_from=ckpt)
     assert [t[0] for t in resumed.trace] == [1]
 
@@ -416,8 +451,8 @@ def test_resume_tells_apart_seeds_float32_cannot(tiny_split, tmp_path):
 def test_resume_allows_different_steps_and_eval_every(tiny_split, tmp_path):
     samples, _ = tiny_split
     ckpt = str(tmp_path / "depth.ckpt")
-    train(samples, TrainConfig(task="depth", steps=2, batch=4, seed=4), out_path=ckpt)
-    full = TrainConfig(task="depth", steps=4, batch=4, seed=4, eval_every=1)
+    train(samples, TrainConfig(ModelConfig("depth"), steps=2, batch=4, seed=4), out_path=ckpt)
+    full = TrainConfig(ModelConfig("depth"), steps=4, batch=4, seed=4, eval_every=1)
     resumed = train(samples, full, val_samples=samples[:2], resume_from=ckpt)
     assert [t[0] for t in resumed.trace] == [2, 3]
     assert [step for step, _ in resumed.reports] == [3, 4]
@@ -437,30 +472,30 @@ def _without_run_settings(path, version):
 def test_resume_with_a_forged_opt_entry_raises(tiny_split, tmp_path):
     samples, _ = tiny_split
     ckpt = str(tmp_path / "mid.ckpt")
-    cfg = TrainConfig(task="depth", steps=2, batch=4)
+    cfg = TrainConfig(ModelConfig("depth"), steps=2, batch=4)
     train(samples, cfg, out_path=ckpt)
     tensors = read_checkpoint(ckpt)
     tensors["opt/step"] = np.float32(-3)
     write_checkpoint(ckpt, tensors)
     with pytest.raises(ContractError, match=re.escape("opt/step [-3.0]")):
-        train(samples, TrainConfig(task="depth", steps=4, batch=4), resume_from=ckpt)
+        train(samples, TrainConfig(ModelConfig("depth"), steps=4, batch=4), resume_from=ckpt)
 
 
 def test_resume_without_optimizer_state_raises(tiny_split, tmp_path):
     samples, _ = tiny_split
     ckpt = str(tmp_path / "mid.ckpt")
-    cfg = TrainConfig(task="depth", steps=2, batch=4)
+    cfg = TrainConfig(ModelConfig("depth"), steps=2, batch=4)
     model = train(samples, cfg, out_path=ckpt).model
     save_model(ckpt, model, None, load_checkpoint(ckpt)[2])
     with pytest.raises(ContractError, match=re.escape("opt/step []")):
-        train(samples, TrainConfig(task="depth", steps=3, batch=4), resume_from=ckpt)
+        train(samples, TrainConfig(ModelConfig("depth"), steps=3, batch=4), resume_from=ckpt)
 
 
 def test_resume_from_a_file_with_the_old_ten_settings_continues(tiny_split, tmp_path):
     # checkpoints once also stored the AdamW and loss settings, now constants
     samples, _ = tiny_split
     ckpt = str(tmp_path / "mid.ckpt")
-    train(samples, TrainConfig(task="depth", steps=2, batch=4, seed=6), out_path=ckpt)
+    train(samples, TrainConfig(ModelConfig("depth"), steps=2, batch=4, seed=6), out_path=ckpt)
     tensors = read_checkpoint(ckpt)
     tensors.update({f"train/{n}": np.asarray(v, dtype=np.float32) for n, v in (
         ("weight_decay", [0.05]), ("backbone_lr_mult", [0.1]), ("loss.silog_lambda", [0.5]),
@@ -468,7 +503,7 @@ def test_resume_from_a_file_with_the_old_ten_settings_continues(tiny_split, tmp_
         ("loss.depth_weights", [1.0, 1.0, 1.0]))})
     write_checkpoint(ckpt, tensors)
     assert sum(n.startswith("train/") for n in read_checkpoint(ckpt)) == 10
-    full = TrainConfig(task="depth", steps=4, batch=4, seed=6)
+    full = TrainConfig(ModelConfig("depth"), steps=4, batch=4, seed=6)
     resumed = train(samples, full, resume_from=ckpt)
     assert resumed.trace == [t for t in train(samples, full).trace if t[0] >= 2]
 
@@ -477,17 +512,17 @@ def test_resume_from_a_file_with_the_old_ten_settings_continues(tiny_split, tmp_
 def test_resume_from_a_file_without_run_settings_continues(tiny_split, tmp_path, version):
     samples, _ = tiny_split
     ckpt = str(tmp_path / "mid.ckpt")
-    train(samples, TrainConfig(task="depth", steps=2, batch=4, seed=6), out_path=ckpt)
+    train(samples, TrainConfig(ModelConfig("depth"), steps=2, batch=4, seed=6), out_path=ckpt)
     _without_run_settings(ckpt, version)
     assert not any(n.startswith("train/") for n in read_checkpoint(ckpt))
-    full = TrainConfig(task="depth", steps=4, batch=4, seed=6)
+    full = TrainConfig(ModelConfig("depth"), steps=4, batch=4, seed=6)
     resumed = train(samples, full, resume_from=ckpt)
     assert resumed.trace == [t for t in train(samples, full).trace if t[0] >= 2]
 
 
 def test_short_depth_training_reduces_loss(tiny_split):
     samples, _ = tiny_split
-    res = train(samples, TrainConfig(task="depth", steps=60, batch=4, seed=0))
+    res = train(samples, TrainConfig(ModelConfig("depth"), steps=60, batch=4, seed=0))
     first = res.trace[0][1]
     last_five = [v for _, v, _ in res.trace[-5:]]
     assert sum(last_five) / 5 < first
@@ -496,7 +531,7 @@ def test_short_depth_training_reduces_loss(tiny_split):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_is_reported(tiny_split):
     samples, _ = tiny_split
-    cfg = TrainConfig(task="seg", steps=50, batch=4, lr=1e5, clip_norm=0.0)
+    cfg = TrainConfig(ModelConfig("seg"), steps=50, batch=4, lr=1e5, clip_norm=0.0)
     with pytest.raises(TrainingDiverged, match="grad norm"):
         train(samples, cfg)
 
@@ -504,7 +539,7 @@ def test_divergence_is_reported(tiny_split):
 def test_eval_cadence_and_best_checkpoint(tiny_split, tmp_path):
     samples, _ = tiny_split
     out = str(tmp_path / "model.ckpt")
-    cfg = TrainConfig(task="depth", steps=6, batch=4, eval_every=2)
+    cfg = TrainConfig(ModelConfig("depth"), steps=6, batch=4, eval_every=2)
     res = train(samples, cfg, val_samples=samples[:4], out_path=out)
     steps = [s for s, _ in res.reports]
     assert steps == [2, 4, 6]
@@ -530,7 +565,7 @@ def test_write_trace_roundtrip(tmp_path):
 
 def test_ablate_k_runs_each_k(tiny_split):
     samples, _ = tiny_split
-    cfg = TrainConfig(task="depth", steps=2, batch=4)
+    cfg = TrainConfig(ModelConfig("depth"), steps=2, batch=4)
     out = ablate_k(samples, cfg, [2, 4], val_samples=samples[:4])
     assert [k for k, _ in out] == [2, 4]
     assert all(rep.task == "depth" for _, rep in out)
@@ -539,12 +574,27 @@ def test_ablate_k_runs_each_k(tiny_split):
 def test_ablate_k_empty_list_raises(tiny_split):
     samples, _ = tiny_split
     with pytest.raises(ContractError):
-        ablate_k(samples, TrainConfig(task="depth", steps=1), [], val_samples=samples)
+        ablate_k(samples, TrainConfig(ModelConfig("depth"), steps=1), [], val_samples=samples)
+
+
+def test_ablate_k_checks_every_k_before_the_first_run(tiny_split, monkeypatch):
+    monkeypatch.setattr("pmx.train.train", _no_work)
+    samples, _ = tiny_split
+    with pytest.raises(ContractError, match="K=8, C=4"):
+        ablate_k(samples, TrainConfig(ModelConfig("seg")), [4, 8], val_samples=samples)
+
+
+def test_compare_baseline_checks_both_heads_before_the_first_run(tiny_split, monkeypatch):
+    monkeypatch.setattr("pmx.train.train", _no_work)
+    samples, _ = tiny_split
+    cfg = TrainConfig(ModelConfig("seg", k=8, head="baseline"))
+    with pytest.raises(ContractError, match="K=8, C=4"):
+        compare_baseline(samples, cfg, val_samples=samples)
 
 
 def test_compare_baseline_returns_both(tiny_split):
     samples, _ = tiny_split
-    cfg = TrainConfig(task="depth", steps=2, batch=4)
+    cfg = TrainConfig(ModelConfig("depth"), steps=2, batch=4)
     out = compare_baseline(samples, cfg, val_samples=samples[:4])
     assert set(out) == {"cluster", "baseline"}
     assert out["cluster"].task == "depth" and out["baseline"].task == "depth"
