@@ -110,8 +110,9 @@ class Encoder:
         # and the cluster softmax opens up uniform instead of saturated
         self.out = Conv3x3(p.sub("out."), w2, d, 1, std=0.01)
 
-    def __call__(self, images: Tensor) -> Tensor:
-        """(B, 3, H, W) -> (B, D, H/4, W/4); H, W must be multiples of 4."""
+    def __call__(self, images: Tensor) -> Tuple[Tensor, Tuple[int, int]]:
+        """(B, 3, H, W) -> per-pixel embeddings as rows, (B, H/4 * W/4, D),
+        plus the feature grid size (H/4, W/4); H, W must be multiples of 4."""
         _, _, h, w = images.shape
         if h % STRIDE or w % STRIDE:
             raise ContractError(f"input {h}x{w} is not a multiple of {STRIDE}")
@@ -124,11 +125,7 @@ class Encoder:
         if x.shape[3] != s.shape[3]:
             x = x.narrow(3, 0, s.shape[3])
         x = (x + self.skip(s)).relu()
-        return self.out(self.refine(x))
-
-    def rows(self, images: Tensor) -> Tuple[Tensor, Tuple[int, int]]:
-        """Per-pixel embeddings as rows: (B, N, D) plus the feature grid size."""
-        fmap = self(images)
+        fmap = self.out(self.refine(x))
         b, d, h4, w4 = fmap.shape
         return fmap.reshape(b, d, h4 * w4).transpose_last2(), (h4, w4)
 
@@ -165,7 +162,8 @@ def kmeans_read(q: Tensor, f: Tensor) -> Tensor:
 
 
 def standard_read(q: Tensor, f: Tensor) -> Tensor:
-    """Soft cross-attention read: softmax over pixels of Q F^T / sqrt(D)."""
+    """Soft read: softmax over F's rows of Q F^T / sqrt(D), times F.  The
+    cross-attention over pixels, and with f = q self-attention across queries."""
     d = q.shape[-1]
     attn = (q.matmul(f.transpose_last2()) * (1.0 / math.sqrt(d))).softmax(axis=-1)
     return attn.matmul(f)
@@ -174,7 +172,6 @@ def standard_read(q: Tensor, f: Tensor) -> Tensor:
 class DecoderBlock:
     def __init__(self, p: Params, d: int, variant: str):
         self.variant = variant
-        self.d = d
         self.ln1 = LayerNorm(p.sub("ln1."), d)
         self.ln2 = LayerNorm(p.sub("ln2."), d)
         self.ln3 = LayerNorm(p.sub("ln3."), d)
@@ -186,8 +183,7 @@ class DecoderBlock:
             raise ContractError("decoder block needs K >= 1 queries")
         read = kmeans_read(q, f) if self.variant == "kmeans" else standard_read(q, f)
         q = self.ln1(q + read)
-        attn = (q.matmul(q.transpose_last2()) * (1.0 / math.sqrt(self.d))).softmax(axis=-1)
-        q = self.ln2(q + attn.matmul(q))
+        q = self.ln2(q + standard_read(q, q))
         q = self.ln3(q + self.ffn2(self.ffn1(q).gelu()))
         return q
 
@@ -202,7 +198,7 @@ class Backbone:
         self.blocks = [DecoderBlock(p.sub(f"dec/block{i}."), d, variant) for i in range(n_dec)]
 
     def __call__(self, images: Tensor) -> Tuple[Tensor, Tensor, Tuple[int, int]]:
-        f, grid = self.encoder.rows(images)
+        f, grid = self.encoder(images)
         q = self.queries.expand_leading(f.shape[0])
         for block in self.blocks:
             q = block(q, f)

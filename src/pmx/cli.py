@@ -175,6 +175,8 @@ def _read_val(args, header: DatasetHeader, default=None):
 
 
 def cmd_train(args) -> int:
+    if args.eval_every > 0 and not args.val:
+        raise UsageError(f"--eval-every {args.eval_every} needs --val")
     _check_outputs(args, "out", "trace")
     header, samples = read_dataset(args.data)
     cfg = _train_config(args, header)

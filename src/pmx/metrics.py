@@ -39,9 +39,19 @@ PRIMARY_METRIC = {
 
 @dataclass(frozen=True)
 class MetricReport:
+    """Pooled scores of a split; a missing key or unordered depth deltas raise ContractError."""
     task: str
     metrics: Dict[str, float]
     pixels: int
+
+    def __post_init__(self) -> None:
+        missing = [k for k in METRIC_KEYS[self.task] if k not in self.metrics]
+        if missing:
+            raise ContractError(f"{self.task} report missing keys {missing}")
+        if self.task == "depth":
+            d1, d2, d3 = (self.metrics[f"delta{i}"] for i in (1, 2, 3))
+            if not (d1 <= d2 <= d3):
+                raise ContractError("delta inliers must be monotone")
 
     def to_json(self) -> str:
         payload = {"task": self.task, "pixels": self.pixels}
@@ -158,13 +168,3 @@ def normal_metrics(n_pred: np.ndarray, n_gt: np.ndarray, mask: np.ndarray) -> Di
         out[key] = float((theta < deg).mean())
     return out
 
-
-def report_for(task: str, metrics: Dict[str, float], pixels: int) -> MetricReport:
-    missing = [k for k in METRIC_KEYS[task] if k not in metrics]
-    if missing:
-        raise ContractError(f"{task} report missing keys {missing}")
-    if task == "depth":
-        d1, d2, d3 = (metrics[f"delta{i}"] for i in (1, 2, 3))
-        if not (d1 <= d2 <= d3):
-            raise ContractError("delta inliers must be monotone")
-    return MetricReport(task, dict(metrics), pixels)

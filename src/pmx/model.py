@@ -92,7 +92,7 @@ class Model:
     def _features(self, images: Tensor):
         if self.cfg.head == "cluster":
             return self.trunk(images)
-        f, grid = self.trunk.rows(images)
+        f, grid = self.trunk(images)
         return f, None, grid
 
     def train_outputs(self, images: Tensor) -> Dict[str, Tensor]:

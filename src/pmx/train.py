@@ -29,8 +29,7 @@ from .backbone import STRIDE
 from .errors import ContractError, TrainingDiverged
 from .formats import F32_EXACT_MAX
 from .losses import LossConfig, total_loss
-from .metrics import (PRIMARY_METRIC, MetricReport, depth_metrics, miou,
-                      normal_metrics, report_for)
+from .metrics import PRIMARY_METRIC, MetricReport, depth_metrics, miou, normal_metrics
 from .model import (PRED_KEY, Model, ModelConfig, load_checkpoint, save_model, stored_config,
                     stored_run)
 from .rng import SplitMix64, mix_seed_index
@@ -225,7 +224,7 @@ def evaluate(model: Optional[Model], samples: Sequence[Sample], task: str,
         scores = depth_metrics(pred, gt, np.ones(pixels))
     else:
         scores = normal_metrics(pred, gt, np.ones(pixels))
-    return report_for(task, scores, pixels)
+    return MetricReport(task, scores, pixels)
 
 
 # ---- training --------------------------------------------------------------------------
@@ -309,6 +308,8 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, val_samples: Sequence[Sam
           out_path: str = None, trace_path: str = None, resume_from: str = None) -> TrainResult:
     if len(samples) == 0:
         raise ContractError("training needs a nonempty dataset")
+    if cfg.eval_every and val_samples is None:
+        raise ContractError(f"eval_every {cfg.eval_every} needs validation samples")
     task = cfg.model.task
     h, w = samples[0].labels.shape
     multiple = size_multiple(task)
@@ -336,17 +337,6 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, val_samples: Sequence[Sam
     best_hi = PRIMARY_METRIC[task][1]
     last_norm: Tuple[int, float] = None   # (step, pre-clip norm) of the last finite one
     loss_cfg = LossConfig()
-
-    def record(done: int, rep: MetricReport) -> None:
-        """Log a validation report; on a new best score, save ``.best``."""
-        nonlocal best
-        reports.append((done, rep))
-        score = rep.primary()
-        if best is None or (score > best[0] if best_hi else score < best[0]):
-            best = (score, done)
-            if out_path:
-                save_model(out_path + ".best", model, opt.state(), _run_settings(cfg))
-
     for step in range(opt.t, cfg.steps):
         idx = batch_indices(cfg.seed, len(samples), cfg.batch, step)
         images, gt = _batch(samples, idx, task)
@@ -366,18 +356,23 @@ def train(samples: Sequence[Sample], cfg: TrainConfig, val_samples: Sequence[Sam
             last_norm = (step, norm)
         opt.step()
         trace.append((step, value, terms))
-        if (cfg.eval_every and val_samples is not None
-                and (step + 1) % cfg.eval_every == 0 and step + 1 < cfg.steps):
-            record(step + 1, evaluate(model, val_samples, task))
+        done = step + 1
+        if val_samples is not None and (
+                done == cfg.steps or (cfg.eval_every and done % cfg.eval_every == 0)):
+            # log the validation report; on a new best score, save ``.best``
+            rep = evaluate(model, val_samples, task)
+            reports.append((done, rep))
+            score = rep.primary()
+            if best is None or (score > best[0] if best_hi else score < best[0]):
+                best = (score, done)
+                if out_path:
+                    save_model(out_path + ".best", model, opt.state(), _run_settings(cfg))
 
-    final_report = evaluate(model, val_samples, task) if val_samples is not None else None
-    if final_report is not None:
-        record(cfg.steps, final_report)
     if out_path:
         save_model(out_path, model, opt.state(), _run_settings(cfg))
     if trace_path:
         write_trace(trace_path, trace)
-    return TrainResult(model, trace, reports, final_report,
+    return TrainResult(model, trace, reports, reports[-1][1] if reports else None,
                        best[1] if best else cfg.steps)
 
 

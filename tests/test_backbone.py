@@ -35,8 +35,8 @@ def _n(seed, *shape):
 
 def test_encoder_output_is_stride_4():
     enc = Encoder(Params(SplitMix64(0)), (8, 12, 12), 8)
-    y = enc(Tensor(_n(1, 2, 3, 64, 64)))
-    assert y.shape == (2, 8, 16, 16)
+    rows, grid = enc(Tensor(_n(1, 2, 3, 64, 64)))
+    assert rows.shape == (2, 16 * 16, 8) and grid == (16, 16)
 
 
 def test_encoder_rejects_non_multiple_of_4():
@@ -47,14 +47,14 @@ def test_encoder_rejects_non_multiple_of_4():
 
 def test_encoder_zero_image_finite():
     enc = Encoder(Params(SplitMix64(3)), (8, 12, 12), 8)
-    y = enc(Tensor(np.zeros((1, 3, 32, 32))))
-    assert np.isfinite(y.data).all()
+    rows, _ = enc(Tensor(np.zeros((1, 3, 32, 32))))
+    assert np.isfinite(rows.data).all()
 
 
 def test_encoder_batch_independence():
     enc = Encoder(Params(SplitMix64(4)), (8, 12, 12), 8)
     x = _n(5, 1, 3, 32, 32)
-    both = enc(Tensor(np.concatenate([x, x], axis=0)))
+    both, _ = enc(Tensor(np.concatenate([x, x], axis=0)))
     np.testing.assert_allclose(both.data[0], both.data[1], atol=1e-6)
 
 

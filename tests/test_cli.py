@@ -450,6 +450,18 @@ def test_output_in_a_missing_directory_is_refused_before_any_work(data, tmp_path
     assert os.listdir(tmp_path) == []
 
 
+def test_train_eval_every_without_val_is_refused_before_any_work(data, tmp_path, capsys,
+                                                                monkeypatch):
+    for name in ("read_dataset", "train"):
+        monkeypatch.setattr(f"pmx.cli.{name}", _no_work)
+    out, trace = tmp_path / "m.pmxc", tmp_path / "m.csv"
+    assert main(["train", "--task", "depth", "--data", data, "--steps", "2", "--batch", "2",
+                 "--eval-every", "1", "--out", str(out), "--trace", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --eval-every 1 needs --val\n"
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--task", "depth", "--steps", "1", "--out"],
     ["eval", "--task", "depth", "--oracle", "--report"],

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from pmx.errors import ContractError
-from pmx.metrics import (_lower_median, angular_error_deg, confusion_matrix,
-                         depth_metrics, miou, normal_metrics, report_for)
+from pmx.metrics import (MetricReport, _lower_median, angular_error_deg, confusion_matrix,
+                         depth_metrics, miou, normal_metrics)
 
 
 # ---- mIoU --------------------------------------------------------------------------
@@ -380,19 +380,19 @@ def test_miou_matches_loop_oracle(rng):
 
 def test_report_missing_key_raises():
     with pytest.raises(ContractError):
-        report_for("depth", {"rms": 0.0}, 10)
+        MetricReport("depth", {"rms": 0.0}, 10)
 
 
 def test_report_non_monotone_delta_raises():
     bad = {"rms": 0.0, "a_rel": 0.0, "log10": 0.0,
            "delta1": 0.9, "delta2": 0.5, "delta3": 1.0}
     with pytest.raises(ContractError):
-        report_for("depth", bad, 10)
+        MetricReport("depth", bad, 10)
 
 
 def test_report_json_and_primary(rng):
     d = rng.uniform(0.5, 10.0, size=64)
-    rep = report_for("depth", depth_metrics(d, d, np.ones(64)), 64)
+    rep = MetricReport("depth", depth_metrics(d, d, np.ones(64)), 64)
     assert rep.primary() == 1.0
     import json
     payload = json.loads(rep.to_json())

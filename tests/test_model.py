@@ -8,13 +8,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pmx import backbone, precision
 from pmx.errors import ContractError, FormatError
 from pmx.formats import read_checkpoint, write_checkpoint
 from pmx.losses import LossConfig, total_loss
-from pmx.model import (PRED_KEY, Model, ModelConfig, config_from_meta, load_model,
+from pmx.model import (N_DEC, PRED_KEY, Model, ModelConfig, config_from_meta, load_model,
                        save_model, stored_config)
 from pmx.rng import SplitMix64
-from pmx.tensor import Tensor, _Node
+from pmx.scene import SceneConfig, generate_split
+from pmx.tensor import Tensor, _Node, no_grad
+from pmx.train import _batch, _targets
 
 
 def _images(rng, n=2, size=16):
@@ -207,6 +210,62 @@ def test_recorded_training_forward_holds_at_most_20_mb(rng):
     finally:
         tracemalloc.stop()
     assert loss.requires_grad and held <= 20e6
+
+
+# ---- whole-model gradient ----------------------------------------------------------
+
+WHOLE_MODEL_CASES = [(task, head, variant, 16) for task in ("seg", "depth", "normal")
+                     for head, variant in (("cluster", "kmeans"), ("cluster", "standard"),
+                                           ("baseline", "kmeans"))]
+# at 20x20 the stride-8 grid rounds up, so the encoder crops before the skip add
+WHOLE_MODEL_CASES += [("seg", "cluster", "kmeans", 20), ("normal", "cluster", "kmeans", 20)]
+
+
+@pytest.mark.parametrize("task,head,variant,size", WHOLE_MODEL_CASES)
+def test_whole_model_gradient_matches_central_differences(monkeypatch, task, head, variant,
+                                                          size):
+    """Along 3 random unit directions v over every parameter, the gradient's
+    g.v matches (L(w + eps v) - L(w - eps v)) / 2 eps, for the encoder,
+    decoder, head and loss wired as training runs them.  No k-means
+    assignment may flip under the perturbation, or the difference would
+    straddle a kink.  The error is relative to the larger of the two."""
+    eps = 1e-5
+    assigned, one_hot = [], backbone.one_hot
+
+    def recording_one_hot(indices, k):
+        assigned.append(np.array(indices))
+        return one_hot(indices, k)
+    monkeypatch.setattr(backbone, "one_hot", recording_one_hot)
+    images, gt = _batch(generate_split(3, 2, SceneConfig(size=size)), [0, 1], task)
+    targets = _targets(task, gt)
+    with precision.verify():
+        model = Model(ModelConfig(task=task, head=head, variant=variant), seed=0)
+        params = model.params()
+
+        def loss():
+            assigned.clear()
+            pred = model.train_outputs(Tensor(images))[PRED_KEY[task]]
+            return total_loss(task, pred, targets, LossConfig(), (size, size))[0]
+        loss().backward()
+        base = list(assigned)
+        assert len(base) == (N_DEC if (head, variant) == ("cluster", "kmeans") else 0)
+        weights = {n: p.data.copy() for n, p in params.items()}
+        gen = np.random.default_rng(0)
+        for _ in range(3):
+            v = {n: gen.standard_normal(w.shape) for n, w in weights.items()}
+            scale = 1.0 / np.sqrt(sum(float((a * a).sum()) for a in v.values()))
+            analytic = scale * sum(float((params[n].grad * a).sum()) for n, a in v.items())
+            ends = []
+            for sign in (1.0, -1.0):
+                for n, p in params.items():
+                    p.data[...] = weights[n] + (sign * eps * scale) * v[n]
+                with no_grad():
+                    ends.append(float(loss().data))
+                assert all(np.array_equal(a, b) for a, b in zip(assigned, base))
+            for n, p in params.items():
+                p.data[...] = weights[n]
+            numeric = (ends[0] - ends[1]) / (2.0 * eps)
+            assert abs(numeric - analytic) < 1e-5 * max(abs(numeric), abs(analytic))
 
 
 def test_load_missing_and_mismatched_parameter(tmp_path):

@@ -274,6 +274,16 @@ def test_without_a_memory_probe_no_batch_is_refused(monkeypatch):
               TrainConfig(ModelConfig("depth"), steps=1, batch=2**24))
 
 
+def test_eval_every_without_validation_samples_is_refused_before_a_model_is_built(
+        monkeypatch):
+    monkeypatch.setattr("pmx.train.Model", _no_work)
+    monkeypatch.setattr("pmx.train.load_checkpoint", _no_work)
+    cfg = TrainConfig(ModelConfig("depth"), steps=2, batch=2, eval_every=1)
+    for resume in (None, "model.pmxc"):
+        with pytest.raises(ContractError, match="eval_every 1 needs validation samples"):
+            train(generate_split(0, 2, SceneConfig(size=16)), cfg, resume_from=resume)
+
+
 # ---- evaluation --------------------------------------------------------------------
 
 
